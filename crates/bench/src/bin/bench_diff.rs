@@ -26,9 +26,10 @@
 //!   to 4 ms is noise, a 2 s scenario jumping to 3 s is a regression.
 //! * **Speedup ratios** (`egka-primitives/1` only): the artifact's
 //!   `*_speedup` fields are old-vs-new ratios measured inside one binary,
-//!   so they are machine-independent; the gated pair
-//!   (`fixed_base_mul_speedup`, `fixed_base_modexp_speedup`) must stay
-//!   above the absolute `--speedup-floor` (default 2×).
+//!   so they are machine-independent; the gated ones
+//!   (`fixed_base_mul_speedup`, `fixed_base_modexp_speedup`,
+//!   `gq_ring_verify_speedup`) must stay above the absolute
+//!   `--speedup-floor` (default 2×).
 //!
 //! Improvements (fresh below baseline) never fail; they print as a
 //! reminder to refresh the committed baseline. Exit code 1 on any failed
@@ -214,10 +215,15 @@ fn main() {
     if primitives {
         // The primitives artifact carries no energy model — its subject is
         // the in-binary old/new ratios. The two fixed-base accelerations
-        // are the headline claims and must hold the absolute floor; the
-        // remaining ratios are informational (batch verification trades
-        // point additions for attribution guarantees and hovers near 1x).
-        for key in ["fixed_base_mul_speedup", "fixed_base_modexp_speedup"] {
+        // and the per-rekey GQ ring-key split are the headline claims and
+        // must hold the absolute floor; the remaining ratios are
+        // informational (batch verification trades point additions for
+        // attribution guarantees and hovers near 1x).
+        for key in [
+            "fixed_base_mul_speedup",
+            "fixed_base_modexp_speedup",
+            "gq_ring_verify_speedup",
+        ] {
             gate.check_speedup(
                 key,
                 speedup_floor,

@@ -22,11 +22,16 @@
 //! * **Epoch batch verification** — per-item `verify` loops vs the
 //!   `egka-sig` batch entry points (ECDSA RLC chunks, DSA amortized loop,
 //!   GQ split-form RLC).
+//! * **GQ ring verification** — one rekey's eq. (2) checks on a 35-member
+//!   ring at the paper fixture: every member running the composed
+//!   [`GqParams::aggregate_verify`] vs one shared
+//!   [`GqParams::ring_key`] plus a [`GqParams::aggregate_verify_ring`] per
+//!   member.
 //!
 //! The artifact (`BENCH_primitives.json`, schema `egka-primitives/1`)
 //! carries each pair as `*_ns` plus a `*_speedup` ratio; `bench_diff`
-//! holds `fixed_base_mul_speedup` and `fixed_base_modexp_speedup` above an
-//! absolute floor (2×) in CI. `--check-determinism` regenerates every
+//! holds `fixed_base_mul_speedup`, `fixed_base_modexp_speedup` and
+//! `gq_ring_verify_speedup` above an absolute floor (2×) in CI. `--check-determinism` regenerates every
 //! workload from the seed and asserts the result fingerprint reproduces.
 
 use std::time::Instant;
@@ -36,11 +41,12 @@ use egka_bigint::{
     gen_schnorr_group, mod_mul, mod_pow, mod_pow_fixed, random_below, Montgomery, SchnorrGroup,
     Ubig,
 };
+use egka_core::paper_fixture;
 use egka_ec::{secp160r1, Curve, PairingGroup, Point};
 use egka_hash::ChaChaRng;
 use egka_sig::{
     dsa_batch_verify, ecdsa_batch_verify, gq_batch_verify_split, Dsa, DsaBatchItem, DsaSignature,
-    Ecdsa, EcdsaBatchItem, EcdsaSignature, GqPkg, GqSplitItem,
+    Ecdsa, EcdsaBatchItem, EcdsaSignature, GqParams, GqPkg, GqSplitItem,
 };
 use rand::SeedableRng;
 
@@ -278,6 +284,60 @@ fn bench_gq_batch(seed: u64, fp: &mut Fnv) -> Pair {
     Pair { old_ns, new_ns }
 }
 
+// ------------------------------------------------------ GQ ring verify
+
+/// Ring size of the row: the top of `paper_big_groups`' 32–40 range.
+const RING: u32 = 35;
+
+/// The rekey binding (the protocol's `Z`) the row signs under.
+const RING_BIND: &[u8] = b"bench rekey";
+
+/// One honest rekey's eq. (2) inputs on a `RING`-member paper-fixture
+/// ring: `(params, ids, responses, c)`.
+fn gq_ring_workload(seed: u64, fp: &mut Fnv) -> (GqParams, Vec<Vec<u8>>, Vec<Ubig>, Ubig) {
+    let pkg = paper_fixture();
+    let gq = pkg.params().gq.clone();
+    let keys = pkg.extract_group(RING);
+    let mut rng = ChaChaRng::seed_from_u64(seed ^ 0x61f);
+    let commits: Vec<(Ubig, Ubig)> = keys.iter().map(|_| gq.commit(&mut rng)).collect();
+    let ts: Vec<Ubig> = commits.iter().map(|(_, t)| t.clone()).collect();
+    let c = gq.shared_challenge(&gq.aggregate_commitments(&ts), RING_BIND);
+    let responses: Vec<Ubig> = keys
+        .iter()
+        .zip(&commits)
+        .map(|(k, (tau, _))| gq.respond(k, tau, &c))
+        .collect();
+    fp.push(&c.to_bytes_be());
+    for s in &responses {
+        fp.push(&s.to_bytes_be());
+    }
+    let ids = keys.into_iter().map(|k| k.id).collect();
+    (gq, ids, responses, c)
+}
+
+fn bench_gq_ring(seed: u64, fp: &mut Fnv) -> Pair {
+    let (gq, ids, responses, c) = gq_ring_workload(seed, fp);
+    let ids: Vec<&[u8]> = ids.iter().map(Vec::as_slice).collect();
+    let ring = gq.ring_key(&ids).expect("honest ring is invertible");
+    assert!(gq.aggregate_verify(&ids, &responses, &c, RING_BIND));
+    assert!(gq.aggregate_verify_ring(&ring, &responses, &c, RING_BIND));
+    // Old: every member hashes the whole ring and inverts the product.
+    let old_ns = per_op_ns(4, || {
+        for _ in 0..RING {
+            assert!(gq.aggregate_verify(&ids, &responses, &c, RING_BIND));
+        }
+    });
+    // New: the ring key once per rekey, then one joint exponentiation per
+    // member.
+    let new_ns = per_op_ns(4, || {
+        let ring = gq.ring_key(&ids).expect("honest ring is invertible");
+        for _ in 0..RING {
+            assert!(gq.aggregate_verify_ring(&ring, &responses, &c, RING_BIND));
+        }
+    });
+    Pair { old_ns, new_ns }
+}
+
 fn main() {
     let start = Instant::now();
     let seed: u64 = arg_value("--seed").map_or(0x9121, |v| v.parse().expect("--seed N"));
@@ -301,6 +361,8 @@ fn main() {
     dsa.print("dsa_batch (per item)");
     let gq = bench_gq_batch(seed, &mut fp);
     gq.print("gq_batch (per item)");
+    let gq_ring = bench_gq_ring(seed, &mut fp);
+    gq_ring.print("gq_ring_verify (rekey)");
     let fingerprint = fp.0;
     println!("\nworkload fingerprint {fingerprint:016x}");
 
@@ -314,6 +376,7 @@ fn main() {
         bench_ecdsa_batch(seed, &mut again);
         bench_dsa_batch(seed, &group, &mut again);
         bench_gq_batch(seed, &mut again);
+        gq_ring_workload(seed, &mut again);
         assert_eq!(
             fingerprint, again.0,
             "same seed must reproduce every workload result bit for bit"
@@ -346,6 +409,9 @@ fn main() {
          \"gq_verify_ns\": {:.0},\n  \
          \"gq_batch_item_ns\": {:.0},\n  \
          \"gq_batch_speedup\": {:.3},\n  \
+         \"gq_composed_verify_ns\": {:.0},\n  \
+         \"gq_ring_verify_ns\": {:.0},\n  \
+         \"gq_ring_verify_speedup\": {:.3},\n  \
          \"wall_ms\": {wall_ms:.1}\n}}\n",
         ec.old_ns,
         ec.new_ns,
@@ -364,6 +430,9 @@ fn main() {
         gq.old_ns,
         gq.new_ns,
         gq.speedup(),
+        gq_ring.old_ns,
+        gq_ring.new_ns,
+        gq_ring.speedup(),
     );
     let json_path = arg_value("--json").unwrap_or_else(|| "BENCH_primitives.json".into());
     if json_path != "-" {

@@ -17,7 +17,8 @@
 //! * [`ubig`] — the [`Ubig`] integer type (limb vector, schoolbook +
 //!   Karatsuba multiplication, conversions).
 //! * [`div`] — Knuth Algorithm D division.
-//! * [`modular`] — modular add/sub/mul/pow, gcd, inverse, Jacobi symbol.
+//! * [`modular`] — modular add/sub/mul/pow (and the joint `a^x·b^y` of
+//!   [`mod_pow2`]), gcd, inverse, Jacobi symbol.
 //! * [`mont`] — Montgomery contexts (the hot path for all exponentiation).
 //! * [`fixed`] — interned Montgomery contexts and Lim–Lee fixed-base combs
 //!   for generators exponentiated under a long-lived modulus.
@@ -47,7 +48,9 @@ pub mod rng;
 pub mod ubig;
 
 pub use fixed::{fixed_base, mod_pow_fixed, mont_ctx, FixedBase};
-pub use modular::{ext_gcd_mod, gcd, jacobi, mod_add, mod_inverse, mod_mul, mod_pow, mod_sub};
+pub use modular::{
+    ext_gcd_mod, gcd, jacobi, mod_add, mod_inverse, mod_mul, mod_pow, mod_pow2, mod_sub,
+};
 pub use mont::{MontForm, Montgomery};
 pub use prime::{gen_prime, gen_prime_parallel, gen_schnorr_group, is_prime, SchnorrGroup};
 pub use rng::{random_below, random_bits, random_range, random_unit};

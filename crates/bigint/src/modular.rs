@@ -54,6 +54,23 @@ pub fn mod_pow(a: &Ubig, e: &Ubig, m: &Ubig) -> Ubig {
     acc
 }
 
+/// `a^x · b^y mod m` by one joint exponentiation.
+///
+/// Odd moduli take one Straus/Shamir pass on the interned Montgomery
+/// context: both exponents in odd sliding windows over one shared squaring
+/// chain. Even moduli fall back to two [`mod_pow`] calls and a product.
+/// Bases need not be reduced.
+///
+/// # Panics
+/// Panics if `m` is zero or one.
+pub fn mod_pow2(a: &Ubig, x: &Ubig, b: &Ubig, y: &Ubig, m: &Ubig) -> Ubig {
+    assert!(!m.is_zero() && !m.is_one(), "modulus must be > 1");
+    if m.is_even() {
+        return mod_mul(&mod_pow(a, x, m), &mod_pow(b, y, m), m);
+    }
+    crate::fixed::mont_ctx(m).pow2(&a.rem_ref(m), x, &b.rem_ref(m), y)
+}
+
 /// Greatest common divisor (binary GCD).
 pub fn gcd(a: &Ubig, b: &Ubig) -> Ubig {
     if a.is_zero() {
@@ -232,6 +249,19 @@ mod tests {
         let a = u(1234567890123456789);
         let e = p.checked_sub(&u(1)).unwrap();
         assert_eq!(mod_pow(&a, &e, &p), u(1));
+    }
+
+    #[test]
+    fn mod_pow2_small_cases() {
+        // 2^10 · 3^5 = 1024 · 243 = 248832
+        assert_eq!(
+            mod_pow2(&u(2), &u(10), &u(3), &u(5), &u(1_000_003)),
+            u(248_832)
+        );
+        assert_eq!(mod_pow2(&u(2), &u(0), &u(3), &u(0), &u(7)), u(1));
+        assert_eq!(mod_pow2(&u(0), &u(5), &u(3), &u(2), &u(7)), u(0));
+        // Even modulus and unreduced bases.
+        assert_eq!(mod_pow2(&u(1027), &u(5), &u(1), &u(9), &u(1024)), u(243));
     }
 
     #[test]

@@ -151,6 +151,79 @@ impl Montgomery {
         debug_assert!(started, "non-zero exponent must set a window");
         self.from_mont(&acc)
     }
+
+    /// `a^x · b^y mod n` in one interleaved (Straus/Shamir) pass: both
+    /// exponents are recoded into odd sliding windows and share a single
+    /// squaring chain, so the cost is `max(|x|, |y|)` squarings plus about
+    /// `|x|/(w+1) + |y|/(w+1)` multiplies — close to one exponentiation
+    /// instead of two plus a product.
+    ///
+    /// `a` and `b` must already be reduced (`< n`).
+    pub(crate) fn pow2(&self, a: &Ubig, x: &Ubig, b: &Ubig, y: &Ubig) -> Ubig {
+        let (da, ta) = self.odd_windows(a, x);
+        let (db, tb) = self.odd_windows(b, y);
+        let mut acc: Option<MontForm> = None;
+        for i in (0..da.len().max(db.len())).rev() {
+            if let Some(v) = acc.as_mut() {
+                *v = self.sqr(v);
+            }
+            for (digits, table) in [(&da, &ta), (&db, &tb)] {
+                let d = digits.get(i).copied().unwrap_or(0);
+                if d != 0 {
+                    let t = &table[usize::from(d >> 1)];
+                    acc = Some(match acc {
+                        Some(v) => self.mul(&v, t),
+                        None => t.clone(),
+                    });
+                }
+            }
+        }
+        match acc {
+            Some(v) => self.from_mont(&v),
+            None => Ubig::one().rem_ref(&self.n),
+        }
+    }
+
+    /// Sliding-window recoding of `e` plus the odd-power table it indexes:
+    /// `digits[i]` is the odd window value whose lowest bit is bit `i` (or
+    /// 0), so `e = Σ digits[i]·2^i`, and `table[k] = base^(2k+1)`.
+    fn odd_windows(&self, base: &Ubig, e: &Ubig) -> (Vec<u8>, Vec<MontForm>) {
+        let bits = e.bit_length();
+        if bits == 0 {
+            return (Vec::new(), Vec::new());
+        }
+        let w = match bits {
+            0..=24 => 2,
+            25..=80 => 3,
+            81..=240 => 4,
+            _ => 5,
+        };
+        let mut digits = vec![0u8; bits as usize];
+        let mut top = bits;
+        while top > 0 {
+            if !e.bit(top - 1) {
+                top -= 1;
+                continue;
+            }
+            // The window spans bits low..top, ending on a set bit.
+            let mut low = top.saturating_sub(w);
+            while !e.bit(low) {
+                low += 1;
+            }
+            digits[low as usize] = (low..top)
+                .rev()
+                .fold(0u8, |v, b| (v << 1) | u8::from(e.bit(b)));
+            top = low;
+        }
+        let bm = self.to_mont(base);
+        let b2 = self.sqr(&bm);
+        let mut table = Vec::with_capacity(1 << (w - 1));
+        table.push(bm);
+        for k in 1..1usize << (w - 1) {
+            table.push(self.mul(&table[k - 1], &b2));
+        }
+        (digits, table)
+    }
 }
 
 /// Inverse of an odd `x` modulo 2^64 by Newton–Hensel lifting.
@@ -212,6 +285,35 @@ mod tests {
             acc
         };
         assert_eq!(m.pow(&base, &e), expect);
+    }
+
+    #[test]
+    fn pow2_matches_two_pows() {
+        let n = Ubig::from_u64(1_000_003);
+        let m = Montgomery::new(n.clone());
+        let (a, b) = (Ubig::from_u64(123_456), Ubig::from_u64(999_999));
+        // Exponents for every window width (2 to 5 bits); only windows of
+        // 4 bits or more have digits whose bit order matters.
+        let exps: Vec<Ubig> = [
+            "0",
+            "1",
+            "6",
+            "b",
+            "13b",
+            "deadbeefcafe",
+            "1a636a0be83d924dc0e43f27f",
+            "ffeeddccbbaa99887766554433221100aabbccdd",
+            "b3b3b3b3b3b3b3b3b3b3b3b3b3b3b3b3b3b3b3b3b3b3b3b3b3b3b3b3b3b3b3b3",
+        ]
+        .iter()
+        .map(|h| Ubig::from_hex(h).unwrap())
+        .collect();
+        for x in &exps {
+            for y in &exps {
+                let expect = crate::modular::mod_mul(&m.pow(&a, x), &m.pow(&b, y), &n);
+                assert_eq!(m.pow2(&a, x, &b, y), expect, "x {x:?} y {y:?}");
+            }
+        }
     }
 
     #[test]

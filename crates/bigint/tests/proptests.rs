@@ -1,7 +1,7 @@
 //! Property-based tests for the bigint substrate: ring laws, division
 //! identity, modular-arithmetic identities and Montgomery/plain agreement.
 
-use egka_bigint::{gcd, mod_inverse, mod_mul, mod_pow, Montgomery, Ubig};
+use egka_bigint::{gcd, mod_inverse, mod_mul, mod_pow, mod_pow2, Montgomery, Ubig};
 use proptest::prelude::*;
 
 /// Strategy: a Ubig with up to `max_limbs` random limbs.
@@ -24,6 +24,30 @@ fn ubig_odd_modulus(max_limbs: usize) -> impl Strategy<Value = Ubig> {
             v = v.add_ref(&Ubig::from_u64(2));
         }
         v
+    })
+}
+
+/// Strategy: a modulus > 1, odd or even.
+fn ubig_modulus(max_limbs: usize) -> impl Strategy<Value = Ubig> {
+    ubig(max_limbs).prop_filter("> 1", |v| !v.is_zero() && !v.is_one())
+}
+
+/// An exponent of exactly `bits` bits (zero when `bits == 0`).
+fn exact_bits(limbs: Vec<u64>, bits: u32) -> Ubig {
+    if bits == 0 {
+        return Ubig::zero();
+    }
+    let top = Ubig::one().shl_bits(bits - 1);
+    Ubig::from_limbs(limbs).rem_ref(&top).add_ref(&top)
+}
+
+/// Strategy: an exponent of 0..=`max_bits` bits, with zero and one drawn
+/// one time in eight each.
+fn exponent(max_bits: u32) -> impl Strategy<Value = Ubig> {
+    prop::collection::vec(any::<u64>(), 5).prop_map(move |v| match v[0] % 8 {
+        0 => Ubig::zero(),
+        1 => Ubig::one(),
+        _ => exact_bits(v[1..].to_vec(), (v[0] >> 8) as u32 % (max_bits + 1)),
     })
 }
 
@@ -162,5 +186,34 @@ proptest! {
         } else {
             prop_assert!(!gcd(&a, &m).is_one());
         }
+    }
+
+    #[test]
+    fn mod_pow2_matches_two_pows(
+        a in ubig(10),
+        x in exponent(256),
+        b in ubig(10),
+        y in exponent(256),
+        m in ubig_modulus(8),
+    ) {
+        let expect = mod_mul(&mod_pow(&a, &x, &m), &mod_pow(&b, &y, &m), &m);
+        prop_assert_eq!(mod_pow2(&a, &x, &b, &y, &m), expect);
+    }
+
+    /// The GQ shape: a 41-bit `e` beside a 160-bit challenge, either way
+    /// round, with bases that may exceed the modulus.
+    #[test]
+    fn mod_pow2_mixed_exponent_lengths(
+        a in ubig(6),
+        b in ubig(6),
+        xl in prop::collection::vec(any::<u64>(), 4),
+        yl in prop::collection::vec(any::<u64>(), 4),
+        m in ubig_odd_modulus(4),
+    ) {
+        let (short, long) = (exact_bits(xl, 41), exact_bits(yl, 160));
+        let expect = mod_mul(&mod_pow(&a, &short, &m), &mod_pow(&b, &long, &m), &m);
+        prop_assert_eq!(mod_pow2(&a, &short, &b, &long, &m), expect);
+        let swapped = mod_mul(&mod_pow(&a, &long, &m), &mod_pow(&b, &short, &m), &m);
+        prop_assert_eq!(mod_pow2(&a, &long, &b, &short, &m), swapped);
     }
 }

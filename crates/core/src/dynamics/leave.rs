@@ -24,12 +24,12 @@ use egka_bigint::{mod_mul, Ubig};
 use egka_energy::complexity::{LP_R1_BITS, LP_R2_BITS};
 use egka_energy::{CompOp, Meter, OpCounts, Scheme};
 use egka_hash::ChaChaRng;
-use egka_sig::GqSecretKey;
+use egka_sig::{GqRingKey, GqSecretKey};
 use rand::SeedableRng;
 
 use crate::bd;
 use crate::group::{GroupSession, MemberState};
-use crate::ident::UserId;
+use crate::ident::{gq_ring_key, UserId};
 use crate::machine::{Dest, Engine, Execution, Faults, Metered, Outgoing, Phase, PhaseOut, Pump};
 use crate::params::Params;
 use crate::proposed::NodeReport;
@@ -59,6 +59,8 @@ struct NodeState {
     rng: ChaChaRng,
     refresher: bool,
     ring_ids: Vec<UserId>,
+    /// The surviving ring's eq. (2) identity term, shared by every node.
+    ring_key: Option<Arc<GqRingKey>>,
     // Own secret state (refreshed in Round 1 if `refresher`).
     r: Ubig,
     tau: Ubig,
@@ -193,12 +195,11 @@ fn node_machine(state: NodeState, peers: Vec<egka_net::NodeId>) -> Engine<NodeSt
     ));
     // ---- Verification + key ----
     phases.push(Phase::immediate(move |s: &mut NodeState, _| {
-        let id_bytes: Vec<Vec<u8>> = s.ring_ids.iter().map(|u| u.to_bytes().to_vec()).collect();
-        let id_refs: Vec<&[u8]> = id_bytes.iter().map(|v| v.as_slice()).collect();
-        let ok = s
-            .params
-            .gq
-            .aggregate_verify(&id_refs, &s.ss, &s.challenge, &s.bind);
+        let ok = s.ring_key.as_deref().is_some_and(|ring| {
+            s.params
+                .gq
+                .aggregate_verify_ring(ring, &s.ss, &s.challenge, &s.bind)
+        });
         s.meter.record(CompOp::SignVerify(Scheme::Gq));
         assert!(ok, "batch verification (eq. 10/12) failed");
         assert!(bd::lemma1_holds(&s.params.bd, &s.xs), "Lemma 1 failed");
@@ -267,6 +268,7 @@ impl LeaveRun {
         }
         let v = refreshes.iter().filter(|&&r| r).count();
         let ring_ids: Vec<UserId> = remaining.iter().map(|&p| session.members[p].id).collect();
+        let ring_key = gq_ring_key(&params.gq, &ring_ids);
 
         let exec = Execution::new(&ring_ids, faults, |k, net_ids| {
             let p = remaining[k];
@@ -283,6 +285,7 @@ impl LeaveRun {
                 ),
                 refresher: refreshes[k],
                 ring_ids: ring_ids.clone(),
+                ring_key: ring_key.clone(),
                 r: m.r.clone(),
                 tau: m.tau.clone(),
                 t: m.t.clone(),

@@ -6,6 +6,9 @@
 //! width matches the accounting width (`egka_energy::wire::ID_BITS`).
 
 use core::fmt;
+use std::sync::Arc;
+
+use egka_sig::{GqParams, GqRingKey};
 
 /// A 32-bit user identity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -39,6 +42,15 @@ pub(crate) fn ring_position(ring: &[UserId], id: UserId, what: &str) -> usize {
     ring.iter()
         .position(|&u| u == id)
         .unwrap_or_else(|| panic!("{what} sender is a ring member"))
+}
+
+/// The eq. (2) identity term for `ring`, built once per run and shared by
+/// every member's machine. `None` (an empty ring or a non-invertible
+/// identity product) makes every member's batch check fail.
+pub(crate) fn gq_ring_key(gq: &GqParams, ring: &[UserId]) -> Option<Arc<GqRingKey>> {
+    let ids: Vec<[u8; 4]> = ring.iter().map(|u| u.to_bytes()).collect();
+    let refs: Vec<&[u8]> = ids.iter().map(|b| b.as_slice()).collect();
+    gq.ring_key(&refs).map(Arc::new)
 }
 
 #[cfg(test)]

@@ -35,15 +35,29 @@ where
     let cells: Vec<std::sync::Mutex<&mut T>> =
         items.iter_mut().map(std::sync::Mutex::new).collect();
     std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cells.len() {
-                    break;
-                }
-                let mut guard = cells[i].lock().expect("ticketed lock is uncontended");
-                f(i, &mut guard);
-            });
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= cells.len() {
+                        break;
+                    }
+                    let mut guard = cells[i].lock().expect("ticketed lock is uncontended");
+                    f(i, &mut guard);
+                })
+            })
+            .collect();
+        // Join every worker, then re-raise the first panic with its own
+        // payload: left to `scope`, it would become "a scoped thread
+        // panicked" and lose the message callers (and tests) match on.
+        let mut first_panic = None;
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                first_panic.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = first_panic {
+            std::panic::resume_unwind(payload);
         }
     });
 }
@@ -77,6 +91,13 @@ mod tests {
         let mut one = vec![7u32];
         par_for_each_mut(&mut one, |_, x| *x = 8);
         assert_eq!(one, vec![8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "worker 3 failed")]
+    fn worker_panic_keeps_its_payload() {
+        let mut v = vec![0u8; 16];
+        par_for_each_mut(&mut v, |i, _| assert!(i != 3, "worker {i} failed"));
     }
 
     #[test]

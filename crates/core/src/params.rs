@@ -180,6 +180,31 @@ mod tests {
         );
     }
 
+    /// The split eq. (2) check agrees with the composed one on a 35-member
+    /// ring at full size, honest and with one corrupted response.
+    #[test]
+    fn paper_fixture_ring_check_matches_composed_check() {
+        let pkg = paper_fixture();
+        let gq = &pkg.params().gq;
+        let keys = pkg.extract_group(35);
+        let ids: Vec<&[u8]> = keys.iter().map(|k| k.id.as_slice()).collect();
+        let mut rng = ChaChaRng::seed_from_u64(35);
+        let commits: Vec<(Ubig, Ubig)> = keys.iter().map(|_| gq.commit(&mut rng)).collect();
+        let ts: Vec<Ubig> = commits.iter().map(|(_, t)| t.clone()).collect();
+        let c = gq.shared_challenge(&gq.aggregate_commitments(&ts), b"Z");
+        let mut responses: Vec<Ubig> = keys
+            .iter()
+            .zip(&commits)
+            .map(|(k, (tau, _))| gq.respond(k, tau, &c))
+            .collect();
+        let ring = gq.ring_key(&ids).expect("honest ring is invertible");
+        assert!(gq.aggregate_verify_ring(&ring, &responses, &c, b"Z"));
+        assert!(gq.aggregate_verify(&ids, &responses, &c, b"Z"));
+        responses[17] = egka_bigint::mod_mul(&responses[17], &Ubig::from_u64(2), &gq.n);
+        assert!(!gq.aggregate_verify_ring(&ring, &responses, &c, b"Z"));
+        assert!(!gq.aggregate_verify(&ids, &responses, &c, b"Z"));
+    }
+
     /// Full (slow) probabilistic validation of the fixture primes.
     #[test]
     #[ignore = "primality of 1024-bit fixture parameters; run with --ignored"]

@@ -32,12 +32,12 @@ use egka_energy::complexity::InitialProtocol;
 use egka_energy::{CompOp, Meter, OpCounts, Scheme};
 use egka_hash::ChaChaRng;
 use egka_net::NetError;
-use egka_sig::GqSecretKey;
+use egka_sig::{GqRingKey, GqSecretKey};
 use rand::SeedableRng;
 
 use crate::bd;
 use crate::group::{GroupSession, MemberState};
-use crate::ident::{ring_position, UserId};
+use crate::ident::{gq_ring_key, ring_position, UserId};
 use crate::machine::{
     two_round_script, Dest, Engine, Execution, Faults, Metered, Outgoing, PhaseOut, Pump,
 };
@@ -125,6 +125,8 @@ struct NodeState {
     idx: usize,
     id: UserId,
     ring: Vec<UserId>,
+    /// The ring's eq. (2) identity term, shared by every node of the run.
+    ring_key: Option<Arc<GqRingKey>>,
     key: GqSecretKey,
     params: Arc<Params>,
     meter: Meter,
@@ -264,12 +266,11 @@ fn node_machine(state: NodeState) -> Engine<NodeState> {
         // node evaluates the same deterministic checks, so failure is
         // simultaneous and the retransmission restart stays in lock step.
         move |s: &mut NodeState| {
-            let ids: Vec<Vec<u8>> = s.ring.iter().map(|u| u.to_bytes().to_vec()).collect();
-            let id_refs: Vec<&[u8]> = ids.iter().map(|v| v.as_slice()).collect();
-            let batch_ok = s
-                .params
-                .gq
-                .aggregate_verify(&id_refs, &s.ss, &s.challenge, &s.bind);
+            let batch_ok = s.ring_key.as_deref().is_some_and(|ring| {
+                s.params
+                    .gq
+                    .aggregate_verify_ring(ring, &s.ss, &s.challenge, &s.bind)
+            });
             // One priced batch verification, however it came out.
             s.meter.record(CompOp::SignVerify(Scheme::Gq));
             if !batch_ok || !bd::lemma1_holds(&s.params.bd, &s.xs) {
@@ -320,11 +321,13 @@ impl GkaRun {
             })
             .collect();
         let shared = Arc::new(params.clone());
+        let ring_key = gq_ring_key(&params.gq, &ring);
         let exec = Execution::new(&ring, faults, |i, _net_ids| {
             node_machine(NodeState {
                 idx: i,
                 id: ring[i],
                 ring: ring.clone(),
+                ring_key: ring_key.clone(),
                 key: keys[i].clone(),
                 params: Arc::clone(&shared),
                 meter: Meter::new(),

@@ -20,11 +20,20 @@
 //! replaces `n` individual verifications — that is what makes the proposed
 //! protocol's "Sign Ver" row in Table 1 a constant 1.
 //!
+//! The check splits into a per-ring and a per-member part. The identity
+//! term `(∏ H(U_i))⁻¹` depends only on the ring, so [`GqParams::ring_key`]
+//! computes it once — `n` full-domain hashes and one inverse — and every
+//! member then runs [`GqParams::aggregate_verify_ring`]: a product of the
+//! `n` responses and **one joint exponentiation** `s^e · h⁻ᶜ`
+//! ([`egka_bigint::mod_pow2`]). [`GqParams::aggregate_verify`] is the two
+//! composed, so a caller that verifies once per ring pays the hashes every
+//! time.
+//!
 //! Security parameters follow the paper: 512-bit prime factors (1024-bit
 //! `n`), 160-bit challenges, and a prime `e` one bit longer than the
 //! challenge (classic GQ requires `e > 2^l` for soundness).
 
-use egka_bigint::{gcd, gen_prime, mod_inverse, mod_mul, mod_pow, random_unit, Ubig};
+use egka_bigint::{gcd, gen_prime, mod_inverse, mod_mul, mod_pow, mod_pow2, random_unit, Ubig};
 use egka_hash::{challenge_hash, hash_to_unit};
 use rand::Rng;
 
@@ -69,6 +78,17 @@ pub struct GqSignature {
     pub s: Ubig,
     /// Challenge `c = H(t, M)`.
     pub c: Ubig,
+}
+
+/// The per-ring half of eq. (2): `(∏ H(U_i))⁻¹ mod n` for one ring of
+/// identities, built by [`GqParams::ring_key`] and consumed by
+/// [`GqParams::aggregate_verify_ring`] under the same parameters.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct GqRingKey {
+    /// `(∏ H(U_i))⁻¹ mod n`.
+    h_inv: Ubig,
+    /// Ring length; a response vector of any other length is rejected.
+    len: usize,
 }
 
 /// A GQ private-key-generator (paper's PKG for the proposed protocol).
@@ -171,31 +191,17 @@ impl GqParams {
     }
 
     /// Verifies `σ = (s, c)` on `msg` for identity `id` (paper's Verify):
-    /// recomputes `t' = s^e · H(ID)^{−c}` and checks `c == H(t', msg)`.
+    /// recomputes `t' = s^e · H(ID)^{−c}` in one joint exponentiation and
+    /// checks `c == H(t', msg)`.
     pub fn verify(&self, id: &[u8], msg: &[u8], sig: &GqSignature) -> bool {
         if sig.s.is_zero() || sig.s >= self.n {
             return false;
         }
-        let h = self.hash_id(id);
-        let t = match self.recover_commitment(&[h], &sig.s, &sig.c) {
-            Some(t) => t,
-            None => return false,
+        let Some(h_inv) = mod_inverse(&self.hash_id(id), &self.n) else {
+            return false;
         };
+        let t = mod_pow2(&sig.s, &self.e, &h_inv, &sig.c, &self.n);
         self.challenge(&t, msg) == sig.c
-    }
-
-    /// `s^e · (∏ h_i)^{−c} mod n` — the commitment-recovery core shared by
-    /// single and aggregate verification. Returns `None` if the identity
-    /// product is not invertible (cannot happen for honest hashes).
-    fn recover_commitment(&self, id_hashes: &[Ubig], s: &Ubig, c: &Ubig) -> Option<Ubig> {
-        let mut h_prod = Ubig::one();
-        for h in id_hashes {
-            h_prod = mod_mul(&h_prod, h, &self.n);
-        }
-        let h_inv = mod_inverse(&h_prod, &self.n)?;
-        let se = mod_pow(s, &self.e, &self.n);
-        let hc = mod_pow(&h_inv, c, &self.n);
-        Some(mod_mul(&se, &hc, &self.n))
     }
 
     // ----- split API used by the GKA protocol -----
@@ -227,9 +233,10 @@ impl GqParams {
     /// The paper's batch verification (eq. (2)): checks
     /// `c == H((∏ s_i)^e · (∏ H(U_i))^{−c}, bind)`.
     ///
-    /// Costs two modular exponentiations regardless of the number of
-    /// signers — this is the row that makes the proposed scheme's Table 1
-    /// column constant.
+    /// The composition of [`Self::ring_key`] and
+    /// [`Self::aggregate_verify_ring`]: `n` identity hashes and one inverse,
+    /// then `n` products and one joint exponentiation. Callers that check
+    /// the same ring more than once should build the ring key once.
     pub fn aggregate_verify(
         &self,
         ids: &[&[u8]],
@@ -237,7 +244,41 @@ impl GqParams {
         c: &Ubig,
         bind: &[u8],
     ) -> bool {
-        if ids.is_empty() || ids.len() != responses.len() {
+        self.ring_key(ids)
+            .is_some_and(|ring| self.aggregate_verify_ring(&ring, responses, c, bind))
+    }
+
+    /// The per-ring part of eq. (2): `(∏ H(U_i))⁻¹ mod n` over `ids`.
+    ///
+    /// Costs `n` full-domain hashes and one modular inverse. `None` for an
+    /// empty ring or a non-invertible identity product (cannot happen for
+    /// honest hashes); [`Self::aggregate_verify`] treats both as a failed
+    /// check.
+    pub fn ring_key(&self, ids: &[&[u8]]) -> Option<GqRingKey> {
+        if ids.is_empty() {
+            return None;
+        }
+        let h_prod = ids.iter().fold(Ubig::one(), |acc, id| {
+            mod_mul(&acc, &self.hash_id(id), &self.n)
+        });
+        Some(GqRingKey {
+            h_inv: mod_inverse(&h_prod, &self.n)?,
+            len: ids.len(),
+        })
+    }
+
+    /// The per-member part of eq. (2) against a prepared ring: range-checks
+    /// the responses, requires one per ring member, and checks
+    /// `c == H(s^e · h⁻ᶜ, bind)` with `s = ∏ s_i` and `h⁻¹` from `ring` —
+    /// one joint exponentiation, whatever the ring size.
+    pub fn aggregate_verify_ring(
+        &self,
+        ring: &GqRingKey,
+        responses: &[Ubig],
+        c: &Ubig,
+        bind: &[u8],
+    ) -> bool {
+        if ring.len != responses.len() {
             return false;
         }
         let mut s_prod = Ubig::one();
@@ -247,11 +288,7 @@ impl GqParams {
             }
             s_prod = mod_mul(&s_prod, s, &self.n);
         }
-        let id_hashes: Vec<Ubig> = ids.iter().map(|id| self.hash_id(id)).collect();
-        let t = match self.recover_commitment(&id_hashes, &s_prod, c) {
-            Some(t) => t,
-            None => return false,
-        };
+        let t = mod_pow2(&s_prod, &self.e, &ring.h_inv, c, &self.n);
         &self.shared_challenge(&t, bind) == c
     }
 }
@@ -342,87 +379,59 @@ mod tests {
         assert!(!pkg.params.verify(b"alice", b"msg", &sig0));
     }
 
+    /// One honest split-form round over `ids`: Round-1 commitments, the
+    /// shared challenge under `bind`, and every member's response.
+    fn honest_round(pkg: &GqPkg, ids: &[&[u8]], seed: u64, bind: &[u8]) -> (Ubig, Vec<Ubig>) {
+        let mut rng = ChaChaRng::seed_from_u64(seed);
+        let commits: Vec<(Ubig, Ubig)> = ids.iter().map(|_| pkg.params.commit(&mut rng)).collect();
+        let ts: Vec<Ubig> = commits.iter().map(|(_, t)| t.clone()).collect();
+        let c = pkg
+            .params
+            .shared_challenge(&pkg.params.aggregate_commitments(&ts), bind);
+        let responses = ids
+            .iter()
+            .zip(&commits)
+            .map(|(id, (tau, _))| pkg.params.respond(&pkg.extract(id), tau, &c))
+            .collect();
+        (c, responses)
+    }
+
+    fn user_ids(n: usize) -> Vec<Vec<u8>> {
+        (0..n).map(|i| format!("user-{i}").into_bytes()).collect()
+    }
+
+    fn refs(ids: &[Vec<u8>]) -> Vec<&[u8]> {
+        ids.iter().map(Vec::as_slice).collect()
+    }
+
     #[test]
     fn aggregate_verify_accepts_honest_group() {
         let pkg = pkg();
-        let mut rng = ChaChaRng::seed_from_u64(5);
-        let ids: Vec<Vec<u8>> = (0..8u32)
-            .map(|i| format!("user-{i}").into_bytes())
-            .collect();
-        let keys: Vec<GqSecretKey> = ids.iter().map(|id| pkg.extract(id)).collect();
+        let ids = user_ids(8);
         let bind = b"protocol binding Z";
-
-        // Round 1: commitments.
-        let mut taus = Vec::new();
-        let mut ts = Vec::new();
-        for _ in &ids {
-            let (tau, t) = pkg.params.commit(&mut rng);
-            taus.push(tau);
-            ts.push(t);
-        }
-        let t_agg = pkg.params.aggregate_commitments(&ts);
-        let c = pkg.params.shared_challenge(&t_agg, bind);
-        // Round 2: responses.
-        let responses: Vec<Ubig> = keys
-            .iter()
-            .zip(&taus)
-            .map(|(k, tau)| pkg.params.respond(k, tau, &c))
-            .collect();
-        let id_refs: Vec<&[u8]> = ids.iter().map(|v| v.as_slice()).collect();
-        assert!(pkg.params.aggregate_verify(&id_refs, &responses, &c, bind));
+        let (c, responses) = honest_round(&pkg, &refs(&ids), 5, bind);
+        assert!(pkg
+            .params
+            .aggregate_verify(&refs(&ids), &responses, &c, bind));
     }
 
     #[test]
     fn aggregate_verify_rejects_one_bad_response() {
         let pkg = pkg();
-        let mut rng = ChaChaRng::seed_from_u64(6);
-        let ids: Vec<Vec<u8>> = (0..4u32)
-            .map(|i| format!("user-{i}").into_bytes())
-            .collect();
-        let keys: Vec<GqSecretKey> = ids.iter().map(|id| pkg.extract(id)).collect();
-        let bind = b"Z";
-        let mut taus = Vec::new();
-        let mut ts = Vec::new();
-        for _ in &ids {
-            let (tau, t) = pkg.params.commit(&mut rng);
-            taus.push(tau);
-            ts.push(t);
-        }
-        let c = pkg
-            .params
-            .shared_challenge(&pkg.params.aggregate_commitments(&ts), bind);
-        let mut responses: Vec<Ubig> = keys
-            .iter()
-            .zip(&taus)
-            .map(|(k, tau)| pkg.params.respond(k, tau, &c))
-            .collect();
+        let ids = user_ids(4);
+        let (c, mut responses) = honest_round(&pkg, &refs(&ids), 6, b"Z");
         // Corrupt user 2's response.
         responses[2] = mod_mul(&responses[2], &Ubig::from_u64(3), &pkg.params.n);
-        let id_refs: Vec<&[u8]> = ids.iter().map(|v| v.as_slice()).collect();
-        assert!(!pkg.params.aggregate_verify(&id_refs, &responses, &c, bind));
+        assert!(!pkg
+            .params
+            .aggregate_verify(&refs(&ids), &responses, &c, b"Z"));
     }
 
     #[test]
     fn aggregate_verify_rejects_wrong_binding() {
         let pkg = pkg();
-        let mut rng = ChaChaRng::seed_from_u64(7);
         let ids = [b"a".as_slice(), b"b".as_slice()];
-        let keys: Vec<GqSecretKey> = ids.iter().map(|id| pkg.extract(id)).collect();
-        let mut taus = Vec::new();
-        let mut ts = Vec::new();
-        for _ in ids {
-            let (tau, t) = pkg.params.commit(&mut rng);
-            taus.push(tau);
-            ts.push(t);
-        }
-        let c = pkg
-            .params
-            .shared_challenge(&pkg.params.aggregate_commitments(&ts), b"bind-1");
-        let responses: Vec<Ubig> = keys
-            .iter()
-            .zip(&taus)
-            .map(|(k, tau)| pkg.params.respond(k, tau, &c))
-            .collect();
+        let (c, responses) = honest_round(&pkg, &ids, 7, b"bind-1");
         assert!(!pkg.params.aggregate_verify(&ids, &responses, &c, b"bind-2"));
     }
 
@@ -433,6 +442,64 @@ mod tests {
         assert!(!pkg
             .params
             .aggregate_verify(&[b"a".as_slice()], &[], &Ubig::one(), b""));
+    }
+
+    #[test]
+    fn ring_key_of_empty_ring_is_none() {
+        assert_eq!(pkg().params.ring_key(&[]), None);
+    }
+
+    /// The split check and the composed one agree on every ring size, on
+    /// honest and on corrupted responses.
+    #[test]
+    fn ring_check_matches_composed_check_for_every_ring_size() {
+        let pkg = pkg();
+        let p = &pkg.params;
+        for n in 1..=40 {
+            let ids = user_ids(n);
+            let ring = p.ring_key(&refs(&ids)).expect("honest ring is invertible");
+            let (c, mut responses) = honest_round(&pkg, &refs(&ids), 0x600 + n as u64, b"Z");
+            assert!(
+                p.aggregate_verify_ring(&ring, &responses, &c, b"Z"),
+                "n = {n}"
+            );
+            assert!(
+                p.aggregate_verify(&refs(&ids), &responses, &c, b"Z"),
+                "n = {n}"
+            );
+            responses[n / 2] = mod_mul(&responses[n / 2], &Ubig::from_u64(2), &p.n);
+            assert!(
+                !p.aggregate_verify_ring(&ring, &responses, &c, b"Z"),
+                "n = {n}"
+            );
+            assert!(
+                !p.aggregate_verify(&refs(&ids), &responses, &c, b"Z"),
+                "n = {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn ring_check_rejects_every_tampering() {
+        let pkg = pkg();
+        let p = &pkg.params;
+        let ids = user_ids(6);
+        let ring = p.ring_key(&refs(&ids)).unwrap();
+        let (c, responses) = honest_round(&pkg, &refs(&ids), 11, b"Z");
+        let mut tampered = responses.clone();
+        tampered[0] = mod_mul(&tampered[0], &Ubig::from_u64(5), &p.n);
+        let wrong_c = c.add_ref(&Ubig::one());
+        let cases: [(&[Ubig], &Ubig, &[u8]); 5] = [
+            (&tampered, &c, b"Z"),
+            (&responses, &c, b"not Z"),
+            (&responses, &wrong_c, b"Z"),
+            (&responses[1..], &c, b"Z"),
+            (&[responses.clone(), vec![Ubig::one()]].concat(), &c, b"Z"),
+        ];
+        for (i, (rs, c, bind)) in cases.into_iter().enumerate() {
+            assert!(!p.aggregate_verify_ring(&ring, rs, c, bind), "case {i}");
+            assert!(!p.aggregate_verify(&refs(&ids), rs, c, bind), "case {i}");
+        }
     }
 
     /// Security note made concrete (see DESIGN.md §security-notes): the

@@ -62,5 +62,5 @@ pub use certs::{
 };
 pub use dsa::{Dsa, DsaKeyPair, DsaSignature};
 pub use ecdsa::{Ecdsa, EcdsaKeyPair, EcdsaSignature};
-pub use gq::{GqMasterKey, GqParams, GqPkg, GqSecretKey, GqSignature};
+pub use gq::{GqMasterKey, GqParams, GqPkg, GqRingKey, GqSecretKey, GqSignature};
 pub use sok::{SokParams, SokPkg, SokSecretKey, SokSignature};
