@@ -1,12 +1,10 @@
 //! Sans-IO round engine: poll-driven protocol state machines.
 //!
-//! Every GKA variant in this crate used to be a *blocking* lock-step
-//! driver: per-node threads calling `Endpoint::recv_kind` and panicking on
-//! anything out of order. That shape forces a scheduler to run one group's
-//! rekey to completion before touching the next — one slow or powered-off
-//! member stalls every group sharing the thread.
-//!
-//! This module is the replacement substrate:
+//! A *blocking* lock-step driver (per-node threads waiting for their next
+//! round message, panicking on anything out of order) forces a scheduler
+//! to run one group's rekey to completion before touching the next — one
+//! slow or powered-off member stalls every group sharing the thread. The
+//! GKA variants in this crate are therefore written against this module:
 //!
 //! * [`RoundMachine`] — the uniform poll API. A machine owns **one node's**
 //!   protocol state and never touches an endpoint; it consumes [`Packet`]s
@@ -18,11 +16,11 @@
 //!   bookkeeping every machine needs — out-of-round packets are stashed
 //!   and replayed when their round starts, so interleaved delivery (the
 //!   whole point of sans-IO) cannot crash a protocol.
-//! * [`Execution`] — one protocol run: a private [`Medium`], an
-//!   [`egka_net::Reactor`] fanning packets to per-node mailboxes, and one
-//!   machine per node. `pump` advances the run as far as it can without
-//!   blocking and reports whether anything progressed — the primitive a
-//!   shard scheduler interleaves round-robin across many groups.
+//! * [`Execution`] — one protocol run: a private [`Medium`] (node *i* is
+//!   net id *i*; each node has a mailbox on it) and one machine per node.
+//!   `pump` advances the run as far as it can without blocking and reports
+//!   whether anything progressed — the primitive a shard scheduler
+//!   interleaves round-robin across many groups.
 //! * [`Faults`] — loss/detachment injection for liveness testing: a
 //!   detached member's machine still runs, but its transmissions vanish,
 //!   so its group stalls (and *only* its group — scheduler liveness is
@@ -34,29 +32,18 @@
 //! lock-step implementation.
 
 use std::collections::VecDeque;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use egka_bigint::Ubig;
 use egka_energy::{comp_energy_mj, Meter, OpCounts};
 use egka_medium::{BatteryBank, RadioMedium, RadioProfile};
-use egka_net::{Endpoint, Medium, NetError, NodeId, Packet, Reactor, ReactorEvent, Token};
+pub use egka_net::Dest;
+use egka_net::{Medium, NetError, NodeId, Packet};
 
 use crate::ident::UserId;
 
 /// The group key a finished machine derived.
 pub type SessionKey = Ubig;
-
-/// Where an outgoing message goes.
-#[derive(Clone, Debug)]
-pub enum Dest {
-    /// Every other attached endpoint on the medium.
-    Broadcast,
-    /// Exactly one endpoint.
-    Unicast(NodeId),
-    /// An explicit recipient set (the paper's intended-recipient
-    /// accounting; self is skipped if present).
-    Multicast(Vec<NodeId>),
-}
 
 /// A message a machine wants transmitted.
 #[derive(Clone, Debug)]
@@ -337,12 +324,6 @@ pub struct Faults {
     /// buffer. Never consulted by any fault or scheduling decision, so
     /// attaching it cannot change a run's outcome.
     pub trace: Option<egka_trace::StepTrace>,
-    /// Fan the per-node machine work of every [`Execution::pump`] across
-    /// threads. Safe under any fault mix — a sweep's sends are buffered
-    /// per node and dispatched in node-index order after the machines
-    /// join, so the medium (and therefore the loss draws, the radio
-    /// schedule and the trace stream) sees exactly the sequential order.
-    pub parallel: bool,
 }
 
 impl Faults {
@@ -373,21 +354,21 @@ pub enum Pump {
     Failed(NetError),
 }
 
-/// One in-flight protocol run: a private medium, a reactor fanning packets
-/// into per-node mailboxes, and one machine per node.
+/// One in-flight protocol run: a private medium (node *i* is net id *i*)
+/// and one machine per node.
 pub struct Execution<S> {
     medium: Medium,
-    /// Virtual-time radio beneath `medium` when [`Faults::radio`] is set;
-    /// `pump` advances its clock whenever the machines are otherwise
+    /// Virtual-time radio transport for `medium` when [`Faults::radio`] is
+    /// set; `pump` advances its clock whenever the machines are otherwise
     /// blocked on in-flight airtime.
     radio: Option<RadioMedium>,
+    /// Host-clock origin of the silence deadlines on a run without a radio.
+    started: Instant,
     /// Node order → user id, for battery accounting.
     users: Vec<UserId>,
     /// Compute energy (mJ) already debited per node, so each pump charges
     /// only the delta since the last sweep.
     comp_mj_charged: Vec<f64>,
-    reactor: Reactor,
-    tokens: Vec<Token>,
     machines: Vec<Engine<S>>,
     keys: Vec<Option<SessionKey>>,
     failed: Option<NetError>,
@@ -397,21 +378,20 @@ pub struct Execution<S> {
     trace: Option<egka_trace::StepTrace>,
     last_round: Option<usize>,
     sweeps: u64,
-    /// From [`Faults::parallel`]: fan machine sweeps across threads.
-    parallel: bool,
 }
 
 impl<S: Send + Metered> Execution<S> {
-    /// Builds a run: joins `ids.len()` endpoints on a fresh medium,
-    /// applies `faults`, and constructs each node's machine via `mk`
-    /// (called with the node index and the slice of all net ids, in node
-    /// order — machines address peers through it).
+    /// Builds a run: joins `ids.len()` nodes on a fresh medium, applies
+    /// `faults`, and constructs each node's machine via `mk` (called with
+    /// the node index and the slice of all net ids, in node order —
+    /// machines address peers through it).
     pub fn new(
         ids: &[UserId],
         faults: &Faults,
         mut mk: impl FnMut(usize, &[NodeId]) -> Engine<S>,
     ) -> Self {
-        let radio = faults.radio.as_ref().map(|spec| {
+        let mut medium = Medium::new();
+        let mut radio = faults.radio.as_ref().map(|spec| {
             let mut profile = spec.profile.clone();
             if faults.loss > 0.0 {
                 // The scheduler's loss (and its per-retry salt) wins over
@@ -419,48 +399,39 @@ impl<S: Send + Metered> Execution<S> {
                 profile.loss = faults.loss;
             }
             let bank = spec.bank.clone().unwrap_or_default();
-            let radio = RadioMedium::with_bank(profile, spec.seed ^ faults.loss_seed, bank);
+            let mut radio = RadioMedium::with_bank(profile, spec.seed ^ faults.loss_seed, bank);
             if let Some(trace) = &faults.trace {
                 radio.set_trace(trace.clone());
             }
             radio
         });
-        let medium = match &radio {
-            Some(r) => r.net().clone(),
-            None => Medium::new(),
-        };
         if faults.loss > 0.0 && radio.is_none() {
-            medium.set_loss_seeded(faults.loss, faults.loss_seed);
+            medium.set_loss(faults.loss, faults.loss_seed);
         }
-        let mut reactor = Reactor::new();
-        let mut tokens = Vec::with_capacity(ids.len());
         let mut net_ids = Vec::with_capacity(ids.len());
         for id in ids {
-            let ep = match &radio {
-                Some(r) => r.join(id.0),
+            let node = match &mut radio {
+                Some(r) => r.join(&mut medium, id.0),
                 None => medium.join(),
             };
-            net_ids.push(ep.id());
             if faults.detached.contains(id) {
-                medium.detach(ep.id());
+                medium.detach(node);
             }
-            tokens.push(reactor.register(ep));
+            net_ids.push(node);
         }
         let machines = (0..ids.len()).map(|i| mk(i, &net_ids)).collect();
         Execution {
             medium,
             radio,
+            started: Instant::now(),
             users: ids.to_vec(),
             comp_mj_charged: vec![0.0; ids.len()],
-            reactor,
-            tokens,
             keys: vec![None; ids.len()],
             machines,
             failed: None,
             trace: faults.trace.clone(),
             last_round: None,
             sweeps: 0,
-            parallel: faults.parallel,
         }
     }
 
@@ -481,8 +452,7 @@ impl<S: Send + Metered> Execution<S> {
 
     /// The medium's traffic counters for node `i`.
     pub fn traffic(&self, i: usize) -> egka_net::TrafficStats {
-        self.medium
-            .stats(self.reactor.endpoint(self.tokens[i]).id())
+        self.medium.stats(i as NodeId)
     }
 
     /// The machine (and through it the node state) of node `i`.
@@ -495,27 +465,23 @@ impl<S: Send + Metered> Execution<S> {
         self.keys[i].as_ref()
     }
 
-    /// Arms a silence deadline on every node; an expiry fails the stalled
-    /// machine with [`NetError::Timeout`] at the next pump.
-    ///
-    /// On a radio execution the deadline is armed on the **virtual
-    /// clock** — a run simulating a slow channel must never time out
-    /// because the host was slow, so wall-clock deadlines are ignored
-    /// there.
-    pub fn set_deadline(&mut self, timeout: Option<Duration>) {
+    /// The clock silence deadlines run on: the radio's virtual clock, or
+    /// the host clock since the run was built. A run simulating a slow
+    /// channel must never time out because the host was slow.
+    fn now_ns(&self) -> u64 {
         match &self.radio {
-            Some(radio) => {
-                let now = radio.now_ns();
-                for &t in &self.tokens {
-                    self.reactor
-                        .set_virtual_deadline(t, now, timeout.map(|d| d.as_nanos() as u64));
-                }
-            }
-            None => {
-                for &t in &self.tokens {
-                    self.reactor.set_deadline(t, timeout);
-                }
-            }
+            Some(radio) => radio.now_ns(),
+            None => self.started.elapsed().as_nanos() as u64,
+        }
+    }
+
+    /// Arms a silence deadline on every node; an expiry fails the stalled
+    /// machine with [`NetError::Timeout`] at the next pump. On a radio
+    /// execution the deadline runs on the **virtual clock**.
+    pub fn set_deadline(&mut self, timeout: Option<Duration>) {
+        let now = self.now_ns();
+        for i in 0..self.n() {
+            self.medium.set_deadline(i as NodeId, now, timeout);
         }
     }
 
@@ -534,7 +500,7 @@ impl<S: Send + Metered> Execution<S> {
     /// last sweep (radio executions only — the instant medium has no
     /// batteries).
     fn charge_compute(&mut self) {
-        let Some(radio) = &self.radio else {
+        let Some(radio) = &mut self.radio else {
             return;
         };
         let cpu = radio.profile().cpu.clone();
@@ -543,18 +509,26 @@ impl<S: Send + Metered> Execution<S> {
             let delta = mj - self.comp_mj_charged[i];
             if delta > 0.0 {
                 self.comp_mj_charged[i] = mj;
-                radio.debit_compute_mj(self.users[i].0, delta);
+                radio.debit_compute_mj(&mut self.medium, self.users[i].0, delta);
             }
         }
     }
 
-    fn dispatch(ep: &Endpoint, outs: Vec<Outgoing>) {
+    /// Sends node `i`'s messages. On the `instant` transport they are
+    /// delivered at once (loss drawn, rx charged); otherwise they stay
+    /// parked for the sweep's `pump_air`.
+    fn dispatch(medium: &mut Medium, instant: bool, i: usize, outs: Vec<Outgoing>) {
         for o in outs {
-            match o.to {
-                Dest::Broadcast => ep.broadcast(o.kind, o.payload, o.nominal_bits),
-                Dest::Unicast(to) => ep.unicast(to, o.kind, o.payload, o.nominal_bits),
-                Dest::Multicast(ts) => ep.multicast(&ts, o.kind, o.payload, o.nominal_bits),
-            }
+            let packet = Packet {
+                from: i as NodeId,
+                kind: o.kind,
+                payload: o.payload,
+                nominal_bits: o.nominal_bits,
+            };
+            medium.send(&o.to, packet);
+        }
+        if instant {
+            medium.flush();
         }
     }
 
@@ -578,9 +552,9 @@ impl<S: Send + Metered> Execution<S> {
         let mut progressed = false;
         let mut inbox = packets.into_iter();
         if let Some(waited) = timed_out {
-            // A reactor deadline expired for this node while it was
-            // blocked; surface it through the machine's timeout hook with
-            // the duration the reactor actually waited.
+            // The node's silence deadline expired while it was blocked;
+            // surface it through the machine's timeout hook with the
+            // duration it was allowed to wait.
             match machine.on_timeout(waited) {
                 Step::Failed(e) => {
                     *failed = Some(e);
@@ -620,9 +594,9 @@ impl<S: Send + Metered> Execution<S> {
         }
     }
 
-    /// One non-blocking scheduling sweep: fan arrived packets to their
-    /// mailboxes, then give every unfinished machine a chance to consume
-    /// and send. Never waits; interleave freely with other executions.
+    /// One non-blocking scheduling sweep: hand every node what its mailbox
+    /// holds, then give every unfinished machine a chance to consume and
+    /// send. Never waits; interleave freely with other executions.
     ///
     /// On a radio execution the sweep also keeps the air moving: sends
     /// are scheduled onto the channel, batteries are debited, and — when
@@ -631,13 +605,13 @@ impl<S: Send + Metered> Execution<S> {
     /// still means what schedulers rely on: nothing in flight, nobody can
     /// move, permanently.
     pub fn pump(&mut self) -> Pump {
-        self.pump_impl(self.parallel)
+        self.pump_impl(false)
     }
 
     /// One sweep with `parallel` machine fan-out. Both modes produce the
-    /// bit-identical event stream: the reactor only fills mailboxes at the
-    /// top of a sweep (mid-sweep sends sit in endpoint channels until the
-    /// next `poll_all`), so machines cannot observe each other within a
+    /// bit-identical event stream: mailboxes are handed over only at the
+    /// top of a sweep (a packet sent mid-sweep waits in its mailbox until
+    /// the next one), so machines cannot observe each other within a
     /// sweep, and the parallel mode dispatches each node's buffered sends
     /// in node-index order after the machines join — the same medium
     /// interaction order (loss draws, radio schedule, trace events) as the
@@ -650,25 +624,12 @@ impl<S: Send + Metered> Execution<S> {
             return Pump::Done;
         }
         self.sweeps += 1;
-        let events = match &self.radio {
-            Some(radio) => self.reactor.poll_all_at(radio.now_ns()),
-            None => self.reactor.poll_all(),
-        };
-        let mut timeouts: Vec<Option<Duration>> = vec![None; self.machines.len()];
-        for ev in events {
-            if let ReactorEvent::TimedOut(token, NetError::Timeout { waited }) = ev {
-                if let Some(i) = self.tokens.iter().position(|&t| t == token) {
-                    timeouts[i] = Some(waited);
-                }
-            }
-        }
+        let ready = self.medium.poll(self.now_ns());
         let mut progressed = false;
-        if parallel && self.machines.len() > 1 && timeouts.iter().all(Option::is_none) {
+        if parallel && self.machines.len() > 1 && ready.iter().all(|r| r.timed_out.is_none()) {
             // Parallel sweep. Timeout sweeps stay sequential: a surfaced
             // timeout stops the sweep at the failing node, and later
             // nodes' meters must not advance past that point.
-            let inboxes: Vec<Vec<Packet>> =
-                self.tokens.iter().map(|&t| self.reactor.drain(t)).collect();
             struct NodeCell<'a, S> {
                 machine: &'a mut Engine<S>,
                 key: &'a mut Option<SessionKey>,
@@ -681,11 +642,11 @@ impl<S: Send + Metered> Execution<S> {
                 .machines
                 .iter_mut()
                 .zip(self.keys.iter_mut())
-                .zip(inboxes)
-                .map(|((machine, key), inbox)| NodeCell {
+                .zip(ready)
+                .map(|((machine, key), ready)| NodeCell {
                     machine,
                     key,
-                    inbox,
+                    inbox: ready.packets,
                     out: Vec::new(),
                     failed: None,
                     progressed: false,
@@ -704,30 +665,30 @@ impl<S: Send + Metered> Execution<S> {
             // Join barrier passed: replay per-node outcomes in node-index
             // order — sends, then the *lowest* failing node wins (the
             // sequential loop would have stopped there).
+            let instant = self.radio.is_none();
             for (i, cell) in cells.into_iter().enumerate() {
                 progressed |= cell.progressed;
-                Self::dispatch(self.reactor.endpoint(self.tokens[i]), cell.out);
+                Self::dispatch(&mut self.medium, instant, i, cell.out);
                 if let Some(e) = cell.failed {
                     self.failed = Some(e);
                     return Pump::Failed(e);
                 }
             }
         } else {
-            for (i, &fired) in timeouts.iter().enumerate() {
-                let packets = self.reactor.drain(self.tokens[i]);
-                if packets.is_empty() && fired.is_none() && self.keys[i].is_some() {
+            for (i, ready) in ready.into_iter().enumerate() {
+                if ready.packets.is_empty() && ready.timed_out.is_none() && self.keys[i].is_some() {
                     continue;
                 }
                 let mut out = Vec::new();
                 progressed |= Self::pump_node(
                     &mut self.machines[i],
                     &mut self.keys[i],
-                    packets,
-                    fired,
+                    ready.packets,
+                    ready.timed_out,
                     &mut self.failed,
                     &mut out,
                 );
-                Self::dispatch(self.reactor.endpoint(self.tokens[i]), out);
+                Self::dispatch(&mut self.medium, self.radio.is_none(), i, out);
                 if let Some(e) = self.failed {
                     return Pump::Failed(e);
                 }
@@ -735,12 +696,13 @@ impl<S: Send + Metered> Execution<S> {
         }
         if self.radio.is_some() {
             self.charge_compute();
-            let radio = self.radio.as_ref().expect("checked above");
-            radio.pump_air();
-            if !progressed && !self.is_done() {
-                if radio.advance().is_some() {
+            let idle = !progressed && !self.is_done();
+            let radio = self.radio.as_mut().expect("checked above");
+            radio.pump_air(&mut self.medium);
+            if idle {
+                if radio.advance(&mut self.medium).is_some() {
                     progressed = true;
-                } else if let Some(at) = self.reactor.next_virtual_deadline() {
+                } else if let Some(at) = self.medium.next_deadline() {
                     // Quiet air, armed timer: the deadline itself is the
                     // next discrete event — jump the clock onto it so the
                     // next poll fires it.
@@ -792,9 +754,8 @@ impl<S: Send + Metered> Execution<S> {
         }
     }
 
-    /// Like [`Execution::pump`] but always fanning the per-node machine
-    /// work across threads (`crate::par`), regardless of
-    /// [`Faults::parallel`] — the blocking `run()` wrappers use this to
+    /// Like [`Execution::pump`] but fanning the per-node machine work
+    /// across threads (`crate::par`) — the blocking `run()` wrappers use this to
     /// keep the big-sweep wall-clock of the lock-step drivers. Radio and
     /// trace runs are parallel too: buffered in-order dispatch makes the
     /// channel schedule and event stream bit-identical to [`Execution::pump`]
@@ -1214,27 +1175,103 @@ mod tests {
         assert!(!seq.3.is_empty(), "trace must have recorded rounds");
     }
 
+    /// FNV-1a over the `Debug` rendering of a run snapshot — a compact,
+    /// exact golden for values (trace events, op counts) too large to
+    /// spell out.
+    fn fnv_debug(value: &impl std::fmt::Debug) -> u64 {
+        format!("{value:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
     #[test]
-    fn faults_parallel_flag_routes_pump_through_the_parallel_sweep() {
-        let faults = Faults {
-            loss: 0.2,
-            loss_seed: 3,
-            parallel: true,
+    fn lossy_echo_runs_match_their_goldens() {
+        // Loss is drawn and rx is charged at send time, and a packet sent
+        // in sweep k is visible only from sweep k+1: these goldens pin
+        // both on the instant medium and on the radio, with the traced
+        // event stream (timestamps included) and a stalled attempt's
+        // partial counts.
+        let trace = || Some(egka_trace::StepTrace::new(1, 7, 0));
+        let reliable = Faults {
+            trace: trace(),
             ..Faults::default()
         };
-        let sequential = Faults {
-            loss: 0.2,
-            loss_seed: 3,
+        let instant = Faults {
+            loss: 0.35,
+            loss_seed: 7,
+            trace: trace(),
             ..Faults::default()
         };
-        // `pump()` with the flag ≡ `pump()` without it: the flag may only
-        // change wall-clock, never observable state.
-        assert_eq!(echo_run(&faults, 4, false), echo_run(&sequential, 4, false));
+        let radio = Faults {
+            loss: 0.2,
+            loss_seed: 3,
+            radio: Some(RadioSpec {
+                profile: RadioProfile::sensor_100kbps(),
+                seed: 0x77,
+                bank: None,
+            }),
+            trace: trace(),
+            ..Faults::default()
+        };
+        let mut got = Vec::new();
+        for faults in [&reliable, &instant, &radio] {
+            let (keys, counts, clock, events) = echo_run(faults, 5, false);
+            let keys: Vec<_> = keys
+                .iter()
+                .map(|k| k.as_ref().and_then(Ubig::to_u64))
+                .collect();
+            got.push((
+                keys,
+                counts.msgs_tx,
+                counts.msgs_rx,
+                counts.rx_bits,
+                fnv_debug(&counts),
+                clock.map(f64::to_bits),
+                events.len(),
+                fnv_debug(&events),
+            ));
+        }
+        let ten = Some(10);
+        let expected = [
+            (
+                vec![ten, ten, ten, ten, ten],
+                5,
+                20,
+                160,
+                0xdc64_612a_84f9_91f8,
+                None,
+                2,
+                0x294d_767a_37ee_a07a,
+            ),
+            (
+                vec![ten, ten, None, None, None],
+                5,
+                15,
+                120,
+                0x1747_0773_9f43_9cc4,
+                None,
+                1,
+                0xa8e9_2803_37d0_e8ac,
+            ),
+            (
+                vec![None, None, ten, None, None],
+                5,
+                12,
+                96,
+                0x1f5e_9e25_17c0_8f8f,
+                Some(0x4007_e93d_9663_8434),
+                31,
+                0xa00b_713b_8e75_ace6,
+            ),
+        ];
+        assert_eq!(got, expected);
     }
 
     #[test]
     fn parallel_pump_surfaces_deadline_timeouts() {
-        // The old pump_par dropped reactor timeout events; the unified
+        // The old pump_par dropped deadline timeouts; the unified
         // sweep must fail the run exactly like the sequential pump.
         let ids: Vec<UserId> = (0..3).map(UserId).collect();
         let faults = Faults {

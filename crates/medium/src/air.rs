@@ -1,16 +1,16 @@
 //! The discrete-event radio: a virtual clock, a serialized channel, and a
 //! delivery queue.
 //!
-//! A [`RadioMedium`] wraps a *deferred* [`egka_net::Medium`]: protocol
-//! code sends through ordinary [`Endpoint`]s, but instead of instant
-//! fan-out each transmission parks in the outbox until [`RadioMedium::
-//! pump_air`] schedules it — serializing airtime on the shared channel,
-//! drawing per-link jitter, applying seeded loss, and debiting the
-//! transmitter's battery. [`RadioMedium::advance`] then moves the virtual
-//! clock to the next scheduled delivery and hands the packet to its
-//! receiver (debiting *its* battery), so a driver alternates "pump the
-//! machines" / "advance the air" and reads the rekey's latency straight
-//! off [`RadioMedium::now_ms`].
+//! A [`RadioMedium`] is the radio transport of an [`egka_net::Medium`]:
+//! protocol code sends through the medium as usual, and each transmission
+//! stays parked there until [`RadioMedium::pump_air`] schedules it —
+//! serializing airtime on the shared channel, drawing per-link jitter,
+//! applying seeded loss, and debiting the transmitter's battery.
+//! [`RadioMedium::advance`] then moves the virtual clock to the next
+//! scheduled delivery and hands the packet to its receiver's mailbox
+//! (debiting *its* battery), so a driver alternates "pump the machines" /
+//! "advance the air" and reads the rekey's latency straight off
+//! [`RadioMedium::now_ms`].
 //!
 //! Everything is deterministic per seed: the jitter and loss draws come
 //! from one xorshift64* stream advanced in transmission order.
@@ -18,8 +18,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use egka_net::{Endpoint, Medium, NodeId, Packet};
-use parking_lot::Mutex;
+use egka_net::{Medium, NodeId, Packet};
 
 use crate::battery::BatteryBank;
 use crate::profile::RadioProfile;
@@ -53,8 +52,14 @@ impl Ord for Delivery {
     }
 }
 
-struct AirState {
-    /// Node index → raw user id (battery cell key).
+/// A virtual-time wireless medium: per-link delay, airtime contention on
+/// one shared channel, seeded loss, and battery-driven node death. It is
+/// the radio transport of an [`egka_net::Medium`], which it works on by
+/// `&mut`: node ids, mailboxes and traffic counters live there.
+pub struct RadioMedium {
+    profile: RadioProfile,
+    bank: BatteryBank,
+    /// Node id → raw user id (battery cell key).
     users: Vec<u32>,
     now_ns: u64,
     /// The shared channel is busy until this instant; the next
@@ -72,27 +77,6 @@ struct AirState {
     trace: Option<egka_trace::StepTrace>,
 }
 
-impl AirState {
-    /// Uniform draw in `[0, 1)` (xorshift64*, same generator as the
-    /// instant medium's loss state).
-    fn unit(&mut self) -> f64 {
-        self.rng ^= self.rng >> 12;
-        self.rng ^= self.rng << 25;
-        self.rng ^= self.rng >> 27;
-        let x = self.rng.wrapping_mul(0x2545_F491_4F6C_DD1D);
-        (x >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-/// A virtual-time wireless medium: per-link delay, airtime contention on
-/// one shared channel, seeded loss, and battery-driven node death.
-pub struct RadioMedium {
-    net: Medium,
-    profile: RadioProfile,
-    bank: BatteryBank,
-    state: Mutex<AirState>,
-}
-
 impl RadioMedium {
     /// A radio with mains-powered nodes (energy is accounted but nobody
     /// dies).
@@ -104,33 +88,24 @@ impl RadioMedium {
     /// medium, so drain accumulates across protocol runs.
     pub fn with_bank(profile: RadioProfile, seed: u64, bank: BatteryBank) -> Self {
         RadioMedium {
-            net: Medium::deferred(),
             profile,
             bank,
-            state: Mutex::new(AirState {
-                users: Vec::new(),
-                now_ns: 0,
-                channel_free_ns: 0,
-                // xorshift64* needs a non-zero state.
-                rng: seed | 1,
-                seq: 0,
-                queue: BinaryHeap::new(),
-                newly_dead: Vec::new(),
-                trace: None,
-            }),
+            users: Vec::new(),
+            now_ns: 0,
+            channel_free_ns: 0,
+            // xorshift64* needs a non-zero state.
+            rng: seed | 1,
+            seq: 0,
+            queue: BinaryHeap::new(),
+            newly_dead: Vec::new(),
+            trace: None,
         }
     }
 
     /// Attaches an observational trace: subsequent transmissions report
     /// airtime spans, drops, and battery debits into it.
-    pub fn set_trace(&self, trace: egka_trace::StepTrace) {
-        self.state.lock().trace = Some(trace);
-    }
-
-    /// The wrapped (deferred) packet medium — endpoints, partitions and
-    /// traffic counters live there.
-    pub fn net(&self) -> &Medium {
-        &self.net
+    pub fn set_trace(&mut self, trace: egka_trace::StepTrace) {
+        self.trace = Some(trace);
     }
 
     /// The radio's hardware/channel profile.
@@ -143,65 +118,75 @@ impl RadioMedium {
         &self.bank
     }
 
-    /// Registers a node for `user`. A user whose battery is already dead
-    /// joins powered off (its endpoint is detached immediately).
-    pub fn join(&self, user: u32) -> Endpoint {
-        let ep = self.net.join();
-        self.state.lock().users.push(user);
-        if self.bank.is_dead(user) {
-            self.net.detach(ep.id());
-        }
-        ep
+    /// Uniform draw in `[0, 1)` (xorshift64*, the same generator as the
+    /// instant transport's loss draws).
+    fn unit(&mut self) -> f64 {
+        self.rng ^= self.rng >> 12;
+        self.rng ^= self.rng << 25;
+        self.rng ^= self.rng >> 27;
+        let x = self.rng.wrapping_mul(0x2545_F491_4F6C_DD1D);
+        (x >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// Drains the net outbox and puts every parked transmission on the
+    /// Powers `node` (user `user`) off on `net` and records the death.
+    fn kill(&mut self, net: &mut Medium, node: NodeId, user: u32) {
+        net.detach(node);
+        self.newly_dead.push(user);
+        if let Some(t) = &self.trace {
+            t.air_death(user, self.now_ns);
+        }
+    }
+
+    /// Registers a node for `user` on `net`. A user whose battery is
+    /// already dead joins powered off (detached immediately).
+    pub fn join(&mut self, net: &mut Medium, user: u32) -> NodeId {
+        let id = net.join();
+        self.users.push(user);
+        if self.bank.is_dead(user) {
+            net.detach(id);
+        }
+        id
+    }
+
+    /// Drains `net`'s parked sends and puts every transmission on the
     /// air: debits the transmitter's battery, serializes the shared
     /// channel, draws loss and per-link jitter, and schedules each
     /// surviving copy's delivery. Returns how many transmissions were
     /// scheduled.
-    pub fn pump_air(&self) -> usize {
-        let txs = self.net.take_outbox();
-        if txs.is_empty() {
-            return 0;
-        }
-        let mut st = self.state.lock();
-        let trace = st.trace.clone();
-        let scheduled = txs.len();
-        for tx in txs {
+    pub fn pump_air(&mut self, net: &mut Medium) -> usize {
+        let txs = net.take_outbox();
+        for tx in &txs {
+            let from = tx.packet.from;
             let bits = tx.packet.nominal_bits;
-            let user = st.users[tx.from as usize];
+            let user = self.users[from as usize];
             let tx_uj = bits as f64 * self.profile.transceiver.tx_uj_per_bit;
-            if !self.bank.debit(user, tx_uj) && !self.net.is_detached(tx.from) {
+            if !self.bank.debit(user, tx_uj) && !net.is_detached(from) {
                 // The battery browned out radiating this packet: it still
                 // leaves the antenna, but the node is off from here on.
-                self.net.detach(tx.from);
-                st.newly_dead.push(user);
-                if let Some(t) = &trace {
-                    t.air_death(user, st.now_ns);
-                }
+                self.kill(net, from, user);
             }
-            let start = st.now_ns.max(st.channel_free_ns);
+            let start = self.now_ns.max(self.channel_free_ns);
             let end = start + self.profile.airtime_ns(bits);
-            st.channel_free_ns = end;
-            if let Some(t) = &trace {
+            self.channel_free_ns = end;
+            if let Some(t) = &self.trace {
                 t.air_tx(bits, tx_uj, start, end);
             }
             for &to in &tx.targets {
-                if self.profile.loss > 0.0 && st.unit() < self.profile.loss {
-                    if let Some(t) = &trace {
-                        t.air_drop(st.users[to as usize], end);
+                if self.profile.loss > 0.0 && self.unit() < self.profile.loss {
+                    if let Some(t) = &self.trace {
+                        t.air_drop(self.users[to as usize], end);
                     }
                     continue;
                 }
                 let jitter_ns = if self.profile.delay.jitter_ms > 0.0 {
-                    (st.unit() * self.profile.delay.jitter_ms * 1e6) as u64
+                    (self.unit() * self.profile.delay.jitter_ms * 1e6) as u64
                 } else {
                     0
                 };
                 let at_ns = end + (self.profile.delay.base_ms * 1e6) as u64 + jitter_ns;
-                let seq = st.seq;
-                st.seq += 1;
-                st.queue.push(Reverse(Delivery {
+                let seq = self.seq;
+                self.seq += 1;
+                self.queue.push(Reverse(Delivery {
                     at_ns,
                     seq,
                     to,
@@ -209,69 +194,59 @@ impl RadioMedium {
                 }));
             }
         }
-        scheduled
+        txs.len()
     }
 
     /// Advances the virtual clock to the next scheduled delivery and hands
-    /// over every packet due at that instant, debiting each receiver's
-    /// battery (a receiver that dies mid-reception hears nothing). Returns
-    /// the new virtual now in nanoseconds, or `None` if nothing is in
-    /// flight.
-    pub fn advance(&self) -> Option<u64> {
-        let mut st = self.state.lock();
-        let Reverse(first) = st.queue.pop()?;
-        st.now_ns = st.now_ns.max(first.at_ns);
+    /// every packet due at that instant to its receiver on `net`, debiting
+    /// each receiver's battery (a receiver that dies mid-reception hears
+    /// nothing). Returns the new virtual now in nanoseconds, or `None` if
+    /// nothing is in flight.
+    pub fn advance(&mut self, net: &mut Medium) -> Option<u64> {
+        let Reverse(first) = self.queue.pop()?;
+        self.now_ns = self.now_ns.max(first.at_ns);
         let due_at = first.at_ns;
         let mut due = vec![first];
-        while let Some(Reverse(d)) = st.queue.peek() {
-            if d.at_ns != due_at {
-                break;
-            }
-            let Reverse(d) = st.queue.pop().expect("peeked");
+        while self
+            .queue
+            .peek()
+            .is_some_and(|Reverse(d)| d.at_ns == due_at)
+        {
+            let Reverse(d) = self.queue.pop().expect("peeked");
             due.push(d);
         }
-        let trace = st.trace.clone();
         for d in due {
-            if self.net.is_detached(d.to) {
+            if net.is_detached(d.to) {
                 continue; // powered off since the packet went on the air
             }
-            let user = st.users[d.to as usize];
+            let user = self.users[d.to as usize];
             let rx_uj = d.packet.nominal_bits as f64 * self.profile.transceiver.rx_uj_per_bit;
             if !self.bank.debit(user, rx_uj) {
-                self.net.detach(d.to);
-                st.newly_dead.push(user);
-                if let Some(t) = &trace {
-                    t.air_death(user, st.now_ns);
-                }
+                self.kill(net, d.to, user);
                 continue;
             }
-            if let Some(t) = &trace {
-                t.air_rx(user, rx_uj, st.now_ns);
+            if let Some(t) = &self.trace {
+                t.air_rx(user, rx_uj, self.now_ns);
             }
-            self.net.deliver_to(d.to, &d.packet);
+            net.deliver_to(d.to, &d.packet);
         }
-        Some(st.now_ns)
+        Some(self.now_ns)
     }
 
     /// Debits compute energy (millijoules, the unit the CPU model prices
-    /// in) from `user`'s battery; a drained battery powers the node off.
-    /// Returns whether the node is still alive.
-    pub fn debit_compute_mj(&self, user: u32, mj: f64) -> bool {
+    /// in) from `user`'s battery; a drained battery powers the node off on
+    /// `net`. Returns whether the node is still alive.
+    pub fn debit_compute_mj(&mut self, net: &mut Medium, user: u32, mj: f64) -> bool {
         if mj <= 0.0 {
             return !self.bank.is_dead(user);
         }
         if self.bank.debit(user, mj * 1000.0) {
             return true;
         }
-        let mut st = self.state.lock();
-        if let Some(idx) = st.users.iter().position(|&u| u == user) {
+        if let Some(idx) = self.users.iter().position(|&u| u == user) {
             let node = idx as NodeId;
-            if !self.net.is_detached(node) {
-                self.net.detach(node);
-                st.newly_dead.push(user);
-                if let Some(t) = &st.trace {
-                    t.air_death(user, st.now_ns);
-                }
+            if !net.is_detached(node) {
+                self.kill(net, node, user);
             }
         }
         false
@@ -281,30 +256,23 @@ impl RadioMedium {
     /// realizes a *timer* event (e.g. a silence deadline) when nothing is
     /// on the air. With deliveries pending, use [`RadioMedium::advance`]
     /// instead so the timer cannot leapfrog traffic.
-    pub fn advance_to(&self, at_ns: u64) {
-        let mut st = self.state.lock();
-        st.now_ns = st.now_ns.max(at_ns);
+    pub fn advance_to(&mut self, at_ns: u64) {
+        self.now_ns = self.now_ns.max(at_ns);
     }
 
     /// Virtual now, nanoseconds.
     pub fn now_ns(&self) -> u64 {
-        self.state.lock().now_ns
+        self.now_ns
     }
 
     /// Virtual now, milliseconds.
     pub fn now_ms(&self) -> f64 {
-        self.now_ns() as f64 / 1e6
-    }
-
-    /// True iff deliveries are scheduled (callers should [`RadioMedium::
-    /// pump_air`] first so parked sends are counted).
-    pub fn has_pending(&self) -> bool {
-        !self.state.lock().queue.is_empty()
+        self.now_ns as f64 / 1e6
     }
 
     /// Users whose battery died on this medium so far, in death order.
-    pub fn newly_dead(&self) -> Vec<u32> {
-        self.state.lock().newly_dead.clone()
+    pub fn newly_dead(&self) -> &[u32] {
+        &self.newly_dead
     }
 }
 
@@ -314,6 +282,7 @@ mod tests {
     use crate::profile::DelaySpec;
     use bytes::Bytes;
     use egka_energy::Transceiver;
+    use egka_net::Dest;
 
     fn quiet() -> RadioProfile {
         RadioProfile {
@@ -327,25 +296,50 @@ mod tests {
         }
     }
 
+    /// A radio and its medium with one node per user.
+    fn air(radio: RadioMedium, users: &[u32]) -> (RadioMedium, Medium) {
+        let (mut radio, mut net) = (radio, Medium::new());
+        for &u in users {
+            radio.join(&mut net, u);
+        }
+        (radio, net)
+    }
+
+    fn broadcast(net: &mut Medium, from: NodeId, kind: u16, bits: u64) {
+        let packet = Packet {
+            from,
+            kind,
+            payload: Bytes::new(),
+            nominal_bits: bits,
+        };
+        net.send(&Dest::Broadcast, packet);
+    }
+
+    /// Packets node `id` has been handed since the last poll.
+    fn heard(net: &mut Medium, id: NodeId) -> Vec<u16> {
+        let ready = net.poll(0).swap_remove(id as usize);
+        ready.packets.iter().map(|p| p.kind).collect()
+    }
+
     #[test]
     fn airtime_serializes_the_shared_channel() {
-        // The ISSUE's example: a 3000-bit broadcast at 100 kbps occupies
-        // the channel for 30 virtual ms; two back-to-back broadcasts end
-        // at 30 and 60 ms.
-        let radio = RadioMedium::new(quiet(), 1);
-        let a = radio.join(10);
-        let b = radio.join(11);
-        a.broadcast(1, Bytes::new(), 3000);
-        a.broadcast(2, Bytes::new(), 3000);
-        assert_eq!(radio.pump_air(), 2);
-        radio.advance().unwrap();
+        // A 3000-bit broadcast at 100 kbps occupies the channel for 30
+        // virtual ms; two back-to-back broadcasts end at 30 and 60 ms.
+        let (mut radio, mut net) = air(RadioMedium::new(quiet(), 1), &[10, 11]);
+        broadcast(&mut net, 0, 1, 3000);
+        broadcast(&mut net, 0, 2, 3000);
+        assert_eq!(radio.pump_air(&mut net), 2);
+        radio.advance(&mut net).unwrap();
         assert!((radio.now_ms() - 30.0).abs() < 1e-9, "{}", radio.now_ms());
-        assert_eq!(b.try_recv().unwrap().kind, 1);
-        assert!(b.try_recv().is_none(), "second packet still on the air");
-        radio.advance().unwrap();
+        assert_eq!(
+            heard(&mut net, 1),
+            vec![1],
+            "second packet still on the air"
+        );
+        radio.advance(&mut net).unwrap();
         assert!((radio.now_ms() - 60.0).abs() < 1e-9);
-        assert_eq!(b.try_recv().unwrap().kind, 2);
-        assert!(radio.advance().is_none(), "air is quiet again");
+        assert_eq!(heard(&mut net, 1), vec![2]);
+        assert!(radio.advance(&mut net).is_none(), "air is quiet again");
     }
 
     #[test]
@@ -356,12 +350,10 @@ mod tests {
             jitter_ms: 2.0,
         };
         let arrival = |seed: u64| {
-            let radio = RadioMedium::new(profile.clone(), seed);
-            let a = radio.join(0);
-            let _b = radio.join(1);
-            a.broadcast(1, Bytes::new(), 1000); // 10 ms airtime
-            radio.pump_air();
-            radio.advance().unwrap()
+            let (mut radio, mut net) = air(RadioMedium::new(profile.clone(), seed), &[0, 1]);
+            broadcast(&mut net, 0, 1, 1000); // 10 ms airtime
+            radio.pump_air(&mut net);
+            radio.advance(&mut net).unwrap()
         };
         let t = arrival(7);
         // 10 ms airtime + 5 ms base + jitter ∈ [0, 2) ms.
@@ -375,19 +367,13 @@ mod tests {
         let mut profile = quiet();
         profile.loss = 0.5;
         let delivered = |seed: u64| {
-            let radio = RadioMedium::new(profile.clone(), seed);
-            let a = radio.join(0);
-            let b = radio.join(1);
+            let (mut radio, mut net) = air(RadioMedium::new(profile.clone(), seed), &[0, 1]);
             for _ in 0..200 {
-                a.broadcast(1, Bytes::new(), 8);
+                broadcast(&mut net, 0, 1, 8);
             }
-            radio.pump_air();
-            while radio.advance().is_some() {}
-            let mut n = 0;
-            while b.try_recv().is_some() {
-                n += 1;
-            }
-            n
+            radio.pump_air(&mut net);
+            while radio.advance(&mut net).is_some() {}
+            heard(&mut net, 1).len()
         };
         let n = delivered(3);
         assert!((60..140).contains(&n), "50% loss delivered {n}/200");
@@ -398,24 +384,22 @@ mod tests {
     fn battery_death_powers_a_node_off_mid_air() {
         let bank = BatteryBank::new(40_000.0); // 40 mJ
         bank.set_capacity(0, f64::INFINITY); // the transmitter is mains-powered
-        let radio = RadioMedium::with_bank(quiet(), 1, bank.clone());
-        let a = radio.join(0);
-        let b = radio.join(1);
+        let (mut radio, mut net) = air(RadioMedium::with_bank(quiet(), 1, bank.clone()), &[0, 1]);
         // Receiving 1000 bits costs 7510 µJ on the sensor radio; node 1
         // can afford five receptions, then dies mid-reception of the sixth.
         for _ in 0..8 {
-            a.broadcast(1, Bytes::new(), 1000);
+            broadcast(&mut net, 0, 1, 1000);
         }
-        radio.pump_air();
-        while radio.advance().is_some() {}
-        let mut heard = 0;
-        while b.try_recv().is_some() {
-            heard += 1;
-        }
-        assert_eq!(heard, 5, "the sixth reception browned out the battery");
+        radio.pump_air(&mut net);
+        while radio.advance(&mut net).is_some() {}
+        assert_eq!(
+            heard(&mut net, 1).len(),
+            5,
+            "the sixth reception browned out the battery"
+        );
         assert!(bank.is_dead(1));
-        assert_eq!(radio.newly_dead(), vec![1]);
-        assert!(radio.net().is_detached(b.id()));
+        assert_eq!(radio.newly_dead(), [1]);
+        assert!(net.is_detached(1));
         // Node 0 paid 8 × 1000 × 10.8 µJ of transmit energy.
         assert!((bank.spent_uj(0) - 86_400.0).abs() < 1e-6);
     }
@@ -424,19 +408,20 @@ mod tests {
     fn dead_user_joins_powered_off() {
         let bank = BatteryBank::new(1.0);
         bank.debit(9, 2.0);
-        let radio = RadioMedium::with_bank(quiet(), 1, bank);
-        let ep = radio.join(9);
-        assert!(radio.net().is_detached(ep.id()));
+        let (_radio, net) = air(RadioMedium::with_bank(quiet(), 1, bank), &[9]);
+        assert!(net.is_detached(0));
     }
 
     #[test]
     fn compute_debit_can_kill_too() {
         let bank = BatteryBank::new(10_000.0); // 10 mJ
-        let radio = RadioMedium::with_bank(quiet(), 1, bank);
-        let ep = radio.join(4);
-        assert!(radio.debit_compute_mj(4, 9.0));
-        assert!(!radio.debit_compute_mj(4, 2.0), "11 mJ of compute: dead");
-        assert!(radio.net().is_detached(ep.id()));
-        assert_eq!(radio.newly_dead(), vec![4]);
+        let (mut radio, mut net) = air(RadioMedium::with_bank(quiet(), 1, bank), &[4]);
+        assert!(radio.debit_compute_mj(&mut net, 4, 9.0));
+        assert!(
+            !radio.debit_compute_mj(&mut net, 4, 2.0),
+            "11 mJ of compute: dead"
+        );
+        assert!(net.is_detached(0));
+        assert_eq!(radio.newly_dead(), [4]);
     }
 }

@@ -5,22 +5,22 @@
 //! models into *simulated radio time* and *battery drain* instead of
 //! leaving them as after-the-fact pricing.
 //!
-//! The instant [`egka_net::Medium`] delivers every packet in zero time on
-//! the host clock; good enough for counting bits, useless for answering
-//! "how long does a rekey take on a 100 kbps sensor radio, and which mote
-//! dies first?". This crate answers both:
+//! The instant transport of [`egka_net::Medium`] delivers every packet in
+//! zero time on the host clock; good enough for counting bits, useless for
+//! answering "how long does a rekey take on a 100 kbps sensor radio, and
+//! which mote dies first?". This crate answers both:
 //!
-//! * [`RadioMedium`] wraps a *deferred* net medium: sends park in an
-//!   outbox, [`RadioMedium::pump_air`] puts them on the air and
-//!   [`RadioMedium::advance`] moves a virtual clock from delivery to
-//!   delivery;
+//! * [`RadioMedium`] is the medium's other transport: it works on the net
+//!   medium by `&mut`, [`RadioMedium::pump_air`] puts its parked sends on
+//!   the air and [`RadioMedium::advance`] moves a virtual clock from
+//!   delivery to delivery;
 //! * **airtime contention** — one shared channel, serialized at the
 //!   transceiver's `data_rate_bps` (a 3000-bit broadcast on the 100 kbps
 //!   radio occupies the channel for 30 virtual ms);
 //! * **per-link delay** — fixed base + seeded uniform jitter per delivery
 //!   ([`DelaySpec`]);
-//! * **seeded loss** — the same xorshift64* family as the instant medium,
-//!   applied per delivery at schedule time;
+//! * **seeded loss** — the same xorshift64* family as the instant
+//!   transport, applied per delivery at schedule time;
 //! * **battery-driven death** — every tx/rx bit and compute millijoule is
 //!   debited from a shared [`BatteryBank`]; a drained node is powered off
 //!   *mid-protocol* (detached on the net medium), which is exactly the

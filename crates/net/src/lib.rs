@@ -1,131 +1,90 @@
 //! # egka-net
 //!
-//! A simulated wireless broadcast medium for the `egka` reproduction.
+//! The simulated wireless broadcast medium of the `egka` reproduction.
 //!
-//! The paper's evaluation assumes a shared broadcast channel: every message
+//! The paper's evaluation assumes a shared broadcast medium: every message
 //! a user sends is received by all other group members (each user transmits
 //! 2 messages and receives `2(n − 1)` during the initial GKA, Table 1).
-//! This crate provides that channel as an in-process [`Medium`] with:
+//! This crate provides it as one in-process, single-owner
+//! [`Medium`]: plain `&mut self`, no threads, no locks. It keeps a table of
+//! nodes, and each node holds a mailbox, its [`TrafficStats`] (nominal bits
+//! for the energy model, actual serialized bits for the "measured encoding"
+//! ablation), a detached flag and a silence deadline.
 //!
-//! * **reliable broadcast and unicast** between registered [`Endpoint`]s;
-//! * **per-node traffic accounting** ([`TrafficStats`]) in both *nominal*
-//!   bits (the paper's printed wire sizes, used by the energy model) and
-//!   *actual* serialized bits (used for the "measured encoding" ablation);
-//! * **loss injection** (seeded, deterministic) to exercise the paper's
-//!   "all members retransmit" failure path;
-//! * **partitions**, used by the Partition protocol scenarios: endpoints in
-//!   different partition groups cannot hear each other.
+//! Every send takes one path. [`Medium::send`] charges the sender, resolves
+//! the audible (attached) recipients and parks a [`Transmission`]. Exactly
+//! one transport then delivers it:
 //!
-//! Delivery is synchronous (messages are enqueued on the receivers'
-//! unbounded channels during `send`), which is exactly what the round-based
-//! GKA drivers need; endpoints block on [`Endpoint::recv`] until their next
-//! message arrives, so per-node threads synchronize naturally.
+//! * **instant** — [`Medium::flush`] delivers every parked transmission
+//!   right away, drawing the seeded loss ([`Medium::set_loss`]) once per
+//!   audible target in send order;
+//! * **radio** — `egka-medium`'s `RadioMedium` drains
+//!   [`Medium::take_outbox`] and hands each copy over with
+//!   [`Medium::deliver_to`] when its virtual clock says so.
 //!
-//! A medium can instead be built **deferred** ([`Medium::deferred`]): sends
-//! park in an outbox as [`Transmission`]s and a transport layer (e.g. the
-//! `egka-medium` virtual-time radio) decides *when* — on its own clock —
-//! each receiver hears them via [`Medium::deliver_to`]. The instant path
-//! stays byte-for-byte untouched when no transport is attached.
+//! Delivered packets wait in their mailbox until [`Medium::poll`], which a
+//! scheduler calls once at the top of each sweep: a packet sent during
+//! sweep *k* is visible only from sweep *k + 1*.
 //!
 //! ```
 //! use bytes::Bytes;
-//! use egka_net::Medium;
+//! use egka_net::{Dest, Medium, Packet};
 //!
-//! // Instant medium: a broadcast reaches every *other* endpoint with the
-//! // sender's paper-nominal bit accounting attached.
-//! let medium = Medium::new();
+//! // A broadcast reaches every *other* node with the sender's
+//! // paper-nominal bit accounting attached.
+//! let mut medium = Medium::new();
 //! let (a, b) = (medium.join(), medium.join());
-//! a.broadcast(1, Bytes::from_static(b"round 1"), 40);
-//! let pkt = b.recv();
-//! assert_eq!((pkt.from, pkt.kind, pkt.nominal_bits), (a.id(), 1, 40));
-//! assert_eq!(&pkt.payload[..], b"round 1");
+//! let pkt = Packet { from: a, kind: 1, payload: Bytes::from_static(b"round 1"), nominal_bits: 40 };
+//! medium.send(&Dest::Broadcast, pkt);
+//! medium.flush();
+//! let ready = medium.poll(0);
+//! assert!(ready[a as usize].packets.is_empty(), "no self-delivery");
+//! let got = &ready[b as usize].packets[0];
+//! assert_eq!((got.from, got.kind, got.nominal_bits), (a, 1, 40));
+//! assert_eq!(medium.stats(b).rx_bits, 40);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
-use std::sync::Arc;
+use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
-
-mod reactor;
-
-pub use reactor::{Reactor, ReactorEvent, Token};
 
 /// Identifies a node on the medium (dense, assigned at [`Medium::join`]).
 pub type NodeId = u32;
 
-/// Typed delivery/receive errors for service-grade callers.
-///
-/// The paper-exact protocol drivers keep the original infallible API
-/// ([`Endpoint::unicast`] silently drops toward detached nodes, matching a
-/// radio transmitting into the void); a key-management *service* instead
-/// needs to distinguish "the member is powered off" from "the member is
-/// slow", so [`Endpoint::try_unicast`] and [`Endpoint::recv_within`]
-/// surface these as values.
+/// A network-level failure a protocol machine can be handed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NetError {
-    /// No packet arrived within the caller-supplied timeout.
+    /// A silence deadline expired before any packet arrived.
     Timeout {
-        /// How long the caller was willing to wait.
-        waited: std::time::Duration,
-    },
-    /// The unicast target has been [`Medium::detach`]ed (powered off).
-    PeerDetached {
-        /// The detached target.
-        peer: NodeId,
-    },
-    /// The unicast target id was never registered on this medium.
-    UnknownPeer {
-        /// The unregistered id.
-        peer: NodeId,
-    },
-    /// The *sender* itself is detached; nothing was transmitted.
-    SelfDetached,
-    /// A packet of a different kind arrived where a specific round tag was
-    /// required. A sans-IO scheduler treats this as a value and re-buffers
-    /// or drops, instead of tearing down the node thread (the deleted
-    /// `recv_kind` shim used to panic here).
-    UnexpectedKind {
-        /// The round tag the caller was waiting for.
-        expected: u16,
-        /// The round tag that actually arrived.
-        got: u16,
-        /// Who sent the unexpected packet.
-        from: NodeId,
+        /// How long the node was allowed to stay silent.
+        waited: Duration,
     },
 }
 
 impl core::fmt::Display for NetError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            NetError::Timeout { waited } => {
-                write!(f, "no packet arrived within {waited:?}")
-            }
-            NetError::PeerDetached { peer } => {
-                write!(f, "peer node {peer} is detached (powered off)")
-            }
-            NetError::UnknownPeer { peer } => {
-                write!(f, "peer node {peer} is not registered on this medium")
-            }
-            NetError::SelfDetached => write!(f, "sending endpoint is detached"),
-            NetError::UnexpectedKind {
-                expected,
-                got,
-                from,
-            } => write!(
-                f,
-                "protocol round mismatch: expected kind {expected}, got {got} from node {from}"
-            ),
-        }
+        let NetError::Timeout { waited } = self;
+        write!(f, "no packet arrived within {waited:?}")
     }
 }
 
 impl std::error::Error for NetError {}
+
+/// Where a transmission goes.
+#[derive(Clone, Debug)]
+pub enum Dest {
+    /// Every other attached node on the medium.
+    Broadcast,
+    /// Exactly one node.
+    Unicast(NodeId),
+    /// An explicit recipient set (the paper's intended-recipient
+    /// accounting; self is skipped if present).
+    Multicast(Vec<NodeId>),
+}
 
 /// A message in flight.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -158,860 +117,377 @@ pub struct TrafficStats {
     pub msgs_rx: u64,
 }
 
-struct NodeSlot {
-    sender: Sender<Packet>,
-    stats: Mutex<TrafficStats>,
-    /// Partition group; deliveries only happen within a group.
-    partition: u8,
-    /// Detached nodes neither send nor receive (a leaver that powered off).
-    detached: bool,
-}
-
-/// Deterministic xorshift for loss decisions (no `rand` state sharing
-/// headaches across threads; one u64 under a lock is enough at this rate).
-struct LossState {
-    /// Drop probability in [0, 1].
-    prob: f64,
-    rng: u64,
-}
-
-impl LossState {
-    fn drop_now(&mut self) -> bool {
-        if self.prob <= 0.0 {
-            return false;
-        }
-        // xorshift64*
-        self.rng ^= self.rng >> 12;
-        self.rng ^= self.rng << 25;
-        self.rng ^= self.rng >> 27;
-        let x = self.rng.wrapping_mul(0x2545_F491_4F6C_DD1D);
-        let u = (x >> 11) as f64 / (1u64 << 53) as f64;
-        u < self.prob
-    }
-}
-
-/// A transmission parked in a deferred medium's outbox: the sender has
-/// been charged, the recipient set is resolved (partition/detachment
-/// filtered at send time), and a transport layer decides when — and
-/// whether — each target hears it via [`Medium::deliver_to`].
-#[derive(Clone, Debug)]
+/// A send the medium has charged and resolved, parked until a transport
+/// delivers it.
+#[derive(Debug)]
 pub struct Transmission {
-    /// Transmitting node.
-    pub from: NodeId,
-    /// Resolved recipients (already filtered for partition/detachment).
+    /// Audible recipients at send time: attached nodes, minus the sender
+    /// on a broadcast or multicast.
     pub targets: Vec<NodeId>,
     /// The packet itself.
     pub packet: Packet,
 }
 
-struct Inner {
-    nodes: RwLock<Vec<NodeSlot>>,
-    loss: Mutex<LossState>,
-    /// Deferred media park sends here instead of delivering instantly.
-    /// `None` = instant fan-out (the classic medium).
-    outbox: Option<Mutex<Vec<Transmission>>>,
+/// What one node has to act on at the top of a sweep ([`Medium::poll`]).
+#[derive(Debug)]
+pub struct Ready {
+    /// Packets delivered since the last poll, oldest first.
+    pub packets: Vec<Packet>,
+    /// Set when the node's silence deadline expired with nothing
+    /// delivered: how long it was allowed to stay silent.
+    pub timed_out: Option<Duration>,
 }
 
-/// The shared broadcast medium. Cloning is cheap and all clones observe the
-/// same channel state.
-#[derive(Clone)]
+#[derive(Default)]
+struct Node {
+    mailbox: Vec<Packet>,
+    stats: TrafficStats,
+    /// Detached nodes neither send nor receive (a leaver that powered off).
+    detached: bool,
+    /// `(fires_at_ns, allowed silence)` on the caller's clock.
+    deadline: Option<(u64, Duration)>,
+}
+
+/// The shared broadcast medium (see the crate docs).
+#[derive(Default)]
 pub struct Medium {
-    inner: Arc<Inner>,
-}
-
-impl Default for Medium {
-    fn default() -> Self {
-        Self::new()
-    }
+    nodes: Vec<Node>,
+    outbox: Vec<Transmission>,
+    /// Per-delivery drop probability of the instant transport.
+    loss: f64,
+    /// xorshift64* state for its loss draws (seeded by `set_loss`).
+    rng: u64,
 }
 
 impl Medium {
-    /// A lossless medium.
+    /// A lossless medium with no nodes.
     pub fn new() -> Self {
-        Medium {
-            inner: Arc::new(Inner {
-                nodes: RwLock::new(Vec::new()),
-                loss: Mutex::new(LossState {
-                    prob: 0.0,
-                    rng: 0x9E37_79B9_7F4A_7C15,
-                }),
-                outbox: None,
-            }),
-        }
+        Self::default()
     }
 
-    /// A medium whose sends park in an outbox instead of delivering
-    /// instantly. The sender is charged at send time; a transport layer
-    /// drains [`Medium::take_outbox`] and hands each packet to its
-    /// receivers with [`Medium::deliver_to`] when its clock says so.
-    ///
-    /// The medium's own loss generator is **not** consulted on the
-    /// deferred path — the transport owns the drop decision along with the
-    /// delivery time.
-    pub fn deferred() -> Self {
-        Medium {
-            inner: Arc::new(Inner {
-                nodes: RwLock::new(Vec::new()),
-                loss: Mutex::new(LossState {
-                    prob: 0.0,
-                    rng: 0x9E37_79B9_7F4A_7C15,
-                }),
-                outbox: Some(Mutex::new(Vec::new())),
-            }),
-        }
+    /// Registers a node and returns its id (ids are dense, from 0).
+    pub fn join(&mut self) -> NodeId {
+        self.nodes.push(Node::default());
+        (self.nodes.len() - 1) as NodeId
     }
 
-    /// True iff this medium parks sends for a transport layer.
-    pub fn is_deferred(&self) -> bool {
-        self.inner.outbox.is_some()
-    }
-
-    /// Drains the deferred outbox in send order. Empty on an instant
-    /// medium.
-    pub fn take_outbox(&self) -> Vec<Transmission> {
-        match &self.inner.outbox {
-            Some(outbox) => std::mem::take(&mut *outbox.lock()),
-            None => Vec::new(),
-        }
-    }
-
-    /// Delivers `packet` to `to` *now*, charging its receive counters —
-    /// the transport layer's half of a deferred send. Returns `false`
-    /// (delivering nothing) if the target has detached since the packet
-    /// went on the air.
-    pub fn deliver_to(&self, to: NodeId, packet: &Packet) -> bool {
-        let nodes = self.inner.nodes.read();
-        let dst = &nodes[to as usize];
-        if dst.detached {
-            return false;
-        }
-        {
-            let mut s = dst.stats.lock();
-            s.rx_bits += packet.nominal_bits;
-            s.rx_bits_actual += packet.payload.len() as u64 * 8;
-            s.msgs_rx += 1;
-        }
-        let _ = dst.sender.send(packet.clone());
-        true
-    }
-
-    /// Whether `id` is currently detached (powered off).
-    pub fn is_detached(&self, id: NodeId) -> bool {
-        self.inner.nodes.read()[id as usize].detached
-    }
-
-    /// Registers a new endpoint and returns its handle.
-    pub fn join(&self) -> Endpoint {
-        let (tx, rx) = unbounded();
-        let mut nodes = self.inner.nodes.write();
-        let id = nodes.len() as NodeId;
-        nodes.push(NodeSlot {
-            sender: tx,
-            stats: Mutex::new(TrafficStats::default()),
-            partition: 0,
-            detached: false,
-        });
-        Endpoint {
-            id,
-            medium: self.clone(),
-            rx,
-            stash: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    /// Number of registered endpoints (including detached ones).
-    pub fn node_count(&self) -> usize {
-        self.inner.nodes.read().len()
-    }
-
-    /// Sets the per-delivery drop probability (deterministic given the
-    /// built-in seed). `0.0` restores reliable delivery.
+    /// Sets the instant transport's per-delivery drop probability and its
+    /// generator seed. Retried protocol attempts salt the seed so they do
+    /// not replay the identical drop pattern.
     ///
     /// # Panics
     /// Panics unless `0.0 <= prob < 1.0`.
-    pub fn set_loss(&self, prob: f64) {
+    pub fn set_loss(&mut self, prob: f64, seed: u64) {
         assert!((0.0..1.0).contains(&prob), "loss probability out of range");
-        self.inner.loss.lock().prob = prob;
-    }
-
-    /// [`Medium::set_loss`] with an explicit generator seed. Retried
-    /// protocol attempts over a fresh medium must not replay the identical
-    /// drop pattern (the built-in seed would livelock a retry loop), so
-    /// callers salt the seed per attempt.
-    ///
-    /// # Panics
-    /// Panics unless `0.0 <= prob < 1.0`.
-    pub fn set_loss_seeded(&self, prob: f64, seed: u64) {
-        assert!((0.0..1.0).contains(&prob), "loss probability out of range");
-        let mut loss = self.inner.loss.lock();
-        loss.prob = prob;
+        self.loss = prob;
         // xorshift64* needs a non-zero state.
-        loss.rng = seed | 1;
+        self.rng = seed | 1;
     }
 
-    /// Moves `id` into partition `group`. Nodes only hear nodes in the same
-    /// group. All nodes start in group 0.
-    pub fn set_partition(&self, id: NodeId, group: u8) {
-        self.inner.nodes.write()[id as usize].partition = group;
+    /// Detaches `id`: it stops receiving, and its sends are ignored.
+    pub fn detach(&mut self, id: NodeId) {
+        self.nodes[id as usize].detached = true;
     }
 
-    /// Detaches `id`: it stops receiving (and its sends are ignored).
-    pub fn detach(&self, id: NodeId) {
-        self.inner.nodes.write()[id as usize].detached = true;
+    /// Whether `id` is detached (powered off).
+    pub fn is_detached(&self, id: NodeId) -> bool {
+        self.nodes[id as usize].detached
     }
 
     /// Traffic counters for `id`.
     pub fn stats(&self, id: NodeId) -> TrafficStats {
-        *self.inner.nodes.read()[id as usize].stats.lock()
+        self.nodes[id as usize].stats
     }
 
-    /// Resets the traffic counters of every node (used between protocol
-    /// phases so each table row starts from zero).
-    pub fn reset_stats(&self) {
-        for slot in self.inner.nodes.read().iter() {
-            *slot.stats.lock() = TrafficStats::default();
-        }
-    }
-
-    fn send_impl(&self, from: NodeId, to: Targets<'_>, packet: Packet) {
-        let nodes = self.inner.nodes.read();
-        self.send_locked(&nodes, from, to, packet);
-    }
-
-    /// Delivery under an already-held registry read guard, so callers can
-    /// validate the target and transmit atomically with respect to
-    /// [`Medium::detach`].
-    fn send_locked(&self, nodes: &[NodeSlot], from: NodeId, to: Targets<'_>, packet: Packet) {
-        let src = &nodes[from as usize];
+    /// Transmits `packet` from `packet.from`: charges the sender, resolves
+    /// the audible recipients and parks the [`Transmission`] for a
+    /// transport. A detached sender transmits nothing and is not charged.
+    pub fn send(&mut self, to: &Dest, packet: Packet) {
+        let from = packet.from;
+        let src = &mut self.nodes[from as usize];
         if src.detached {
             return;
         }
-        let actual_bits = packet.payload.len() as u64 * 8;
-        {
-            let mut s = src.stats.lock();
-            s.tx_bits += packet.nominal_bits;
-            s.tx_bits_actual += actual_bits;
-            s.msgs_tx += 1;
-        }
-        let targets: Box<dyn Iterator<Item = usize> + '_> = match to {
-            Targets::One(t) => Box::new(std::iter::once(t as usize)),
-            Targets::All => Box::new((0..nodes.len()).filter(|&i| i != from as usize)),
-            Targets::Set(set) => Box::new(
-                set.iter()
-                    .map(|&t| t as usize)
-                    .filter(move |&i| i != from as usize),
-            ),
+        src.stats.tx_bits += packet.nominal_bits;
+        src.stats.tx_bits_actual += packet.payload.len() as u64 * 8;
+        src.stats.msgs_tx += 1;
+        let mut targets: Vec<NodeId> = match to {
+            Dest::Broadcast => (0..self.nodes.len() as NodeId).collect(),
+            Dest::Unicast(id) => vec![*id],
+            Dest::Multicast(ids) => ids.clone(),
         };
-        if let Some(outbox) = &self.inner.outbox {
-            // Deferred: resolve the audible recipient set now (partition
-            // and detachment are send-time physics), but let the transport
-            // layer own loss and delivery time.
-            let audible: Vec<NodeId> = targets
-                .filter(|&idx| {
-                    let dst = &nodes[idx];
-                    !dst.detached && dst.partition == src.partition
-                })
-                .map(|idx| idx as NodeId)
-                .collect();
-            outbox.lock().push(Transmission {
-                from,
-                targets: audible,
-                packet,
-            });
-            return;
-        }
-        for idx in targets {
-            let dst = &nodes[idx];
-            if dst.detached || dst.partition != src.partition {
-                continue;
-            }
-            if self.inner.loss.lock().drop_now() {
-                continue;
-            }
-            {
-                let mut s = dst.stats.lock();
-                s.rx_bits += packet.nominal_bits;
-                s.rx_bits_actual += actual_bits;
-                s.msgs_rx += 1;
-            }
-            // A full inbox only happens if a receiver thread died; ignore.
-            let _ = dst.sender.send(packet.clone());
-        }
-    }
-}
-
-/// Recipient selector for [`Medium::send_impl`].
-enum Targets<'a> {
-    One(NodeId),
-    All,
-    Set(&'a [NodeId]),
-}
-
-/// A node's handle onto the medium.
-pub struct Endpoint {
-    id: NodeId,
-    medium: Medium,
-    rx: Receiver<Packet>,
-    /// Out-of-round packets buffered by [`Endpoint::recv_kind_within`]
-    /// until a matching `recv` asks for their kind. Every receive path
-    /// drains this stash before touching the channel, so buffering and
-    /// plain receives compose.
-    stash: Mutex<VecDeque<Packet>>,
-}
-
-impl Endpoint {
-    /// This endpoint's id.
-    pub fn id(&self) -> NodeId {
-        self.id
+        // A unicast names its target outright; fan-outs skip the sender.
+        let fan_out = !matches!(to, Dest::Unicast(_));
+        targets.retain(|&id| !self.nodes[id as usize].detached && (id != from || !fan_out));
+        self.outbox.push(Transmission { targets, packet });
     }
 
-    /// The medium this endpoint is attached to.
-    pub fn medium(&self) -> &Medium {
-        &self.medium
-    }
-
-    /// Broadcasts to every other (same-partition, attached) endpoint.
-    pub fn broadcast(&self, kind: u16, payload: Bytes, nominal_bits: u64) {
-        self.medium.send_impl(
-            self.id,
-            Targets::All,
-            Packet {
-                from: self.id,
-                kind,
-                payload,
-                nominal_bits,
-            },
-        );
-    }
-
-    /// Sends to a single endpoint.
-    pub fn unicast(&self, to: NodeId, kind: u16, payload: Bytes, nominal_bits: u64) {
-        self.medium.send_impl(
-            self.id,
-            Targets::One(to),
-            Packet {
-                from: self.id,
-                kind,
-                payload,
-                nominal_bits,
-            },
-        );
-    }
-
-    /// Sends to an explicit recipient set (the paper's energy accounting
-    /// charges reception only to *intended* recipients; duty-cycled radios
-    /// sleep through traffic not addressed to them). Self is skipped if
-    /// present in `targets`.
-    pub fn multicast(&self, targets: &[NodeId], kind: u16, payload: Bytes, nominal_bits: u64) {
-        self.medium.send_impl(
-            self.id,
-            Targets::Set(targets),
-            Packet {
-                from: self.id,
-                kind,
-                payload,
-                nominal_bits,
-            },
-        );
-    }
-
-    /// Blocks until the next packet arrives (stash first, then channel).
-    ///
-    /// # Panics
-    /// Panics if the medium was dropped while waiting (cannot happen while
-    /// any endpoint holds a `Medium` clone, which every endpoint does).
-    pub fn recv(&self) -> Packet {
-        if let Some(p) = self.stash.lock().pop_front() {
-            return p;
-        }
-        self.rx.recv().expect("medium alive while endpoints exist")
-    }
-
-    /// Non-blocking receive (stash first, then channel).
-    pub fn try_recv(&self) -> Option<Packet> {
-        if let Some(p) = self.stash.lock().pop_front() {
-            return Some(p);
-        }
-        self.rx.try_recv().ok()
-    }
-
-    /// Receive with a timeout; `None` on expiry.
-    pub fn recv_timeout(&self, timeout: std::time::Duration) -> Option<Packet> {
-        if let Some(p) = self.stash.lock().pop_front() {
-            return Some(p);
-        }
-        match self.rx.recv_timeout(timeout) {
-            Ok(p) => Some(p),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => {
-                panic!("medium alive while endpoints exist")
-            }
-        }
-    }
-
-    /// Receive with a per-call deadline and a typed error: `None` blocks
-    /// like [`Endpoint::recv`], `Some(timeout)` returns
-    /// [`NetError::Timeout`] on expiry instead of hanging the caller — the
-    /// form service shards use so one powered-off member cannot stall an
-    /// epoch.
-    pub fn recv_within(&self, timeout: Option<std::time::Duration>) -> Result<Packet, NetError> {
-        match timeout {
-            None => Ok(self.recv()),
-            Some(t) => self.recv_timeout(t).ok_or(NetError::Timeout { waited: t }),
-        }
-    }
-
-    /// Unicast with delivery-failure reporting: returns a typed error when
-    /// the target is detached (powered off) or unknown, instead of
-    /// silently transmitting into the void like [`Endpoint::unicast`].
-    ///
-    /// On success the transmission is charged exactly as a plain unicast.
-    pub fn try_unicast(
-        &self,
-        to: NodeId,
-        kind: u16,
-        payload: Bytes,
-        nominal_bits: u64,
-    ) -> Result<(), NetError> {
-        let nodes = self.medium.inner.nodes.read();
-        if nodes[self.id as usize].detached {
-            return Err(NetError::SelfDetached);
-        }
-        match nodes.get(to as usize) {
-            None => return Err(NetError::UnknownPeer { peer: to }),
-            Some(slot) if slot.detached => return Err(NetError::PeerDetached { peer: to }),
-            Some(_) => {}
-        }
-        // Same guard: a concurrent detach cannot slip between the check
-        // and the transmission and turn an accepted send into a silent drop.
-        self.medium.send_locked(
-            &nodes,
-            self.id,
-            Targets::One(to),
-            Packet {
-                from: self.id,
-                kind,
-                payload,
-                nominal_bits,
-            },
-        );
-        Ok(())
-    }
-
-    /// Blocks for the next packet of *any* kind and fails with a typed
-    /// [`NetError::UnexpectedKind`] if it is not `kind` — the value-level
-    /// form of the deleted panicking `recv_kind` contract. Unlike
-    /// [`Endpoint::recv_kind_within`] the mismatching packet is *not*
-    /// buffered: the caller asked for strict round ordering.
-    pub fn recv_kind_checked(&self, kind: u16) -> Result<Packet, NetError> {
-        let p = self.recv();
-        if p.kind == kind {
-            Ok(p)
-        } else {
-            Err(NetError::UnexpectedKind {
-                expected: kind,
-                got: p.kind,
-                from: p.from,
-            })
-        }
-    }
-
-    /// Receives the next packet with round tag `kind`, **buffering** any
-    /// packet of a different kind for a later receive instead of failing on
-    /// it — out-of-order rounds are a network event, not a driver bug,
-    /// once many groups' rounds interleave on one scheduler thread.
-    ///
-    /// `None` blocks until a match arrives; `Some(t)` bounds the total wait
-    /// and returns [`NetError::Timeout`] on expiry.
-    pub fn recv_kind_within(
-        &self,
-        kind: u16,
-        timeout: Option<std::time::Duration>,
-    ) -> Result<Packet, NetError> {
-        // A matching packet may already be stashed by an earlier call.
-        {
-            let mut stash = self.stash.lock();
-            if let Some(at) = stash.iter().position(|p| p.kind == kind) {
-                return Ok(stash.remove(at).expect("position just found"));
-            }
-            // Drop the guard before blocking: senders never touch the
-            // stash, but a sibling receive call must not deadlock on it.
-        }
-        let deadline = timeout.map(|t| std::time::Instant::now() + t);
-        loop {
-            let p = match deadline {
-                None => self.rx.recv().expect("medium alive while endpoints exist"),
-                Some(d) => {
-                    let left = d.saturating_duration_since(std::time::Instant::now());
-                    match self.rx.recv_timeout(left) {
-                        Ok(p) => p,
-                        Err(RecvTimeoutError::Timeout) => {
-                            return Err(NetError::Timeout {
-                                waited: timeout.expect("deadline implies timeout"),
-                            })
-                        }
-                        Err(RecvTimeoutError::Disconnected) => {
-                            panic!("medium alive while endpoints exist")
-                        }
-                    }
+    /// The instant transport: delivers every parked transmission now,
+    /// drawing the seeded loss once per audible target in send order.
+    pub fn flush(&mut self) {
+        let mut outbox = std::mem::take(&mut self.outbox);
+        for tx in outbox.drain(..) {
+            for &to in &tx.targets {
+                if !self.drop_now() {
+                    self.deliver_to(to, &tx.packet);
                 }
-            };
-            if p.kind == kind {
-                return Ok(p);
             }
-            self.stash.lock().push_back(p);
         }
+        // Hand the (empty) buffer back so steady-state sends reuse it.
+        self.outbox = outbox;
     }
 
-    /// This endpoint's traffic counters.
-    pub fn stats(&self) -> TrafficStats {
-        self.medium.stats(self.id)
+    /// Drains the parked transmissions in send order — the radio
+    /// transport's intake.
+    pub fn take_outbox(&mut self) -> Vec<Transmission> {
+        std::mem::take(&mut self.outbox)
+    }
+
+    /// Puts `packet` in `to`'s mailbox and charges its receive counters.
+    /// Returns `false` (delivering nothing) if `to` has detached since the
+    /// packet went on the air.
+    pub fn deliver_to(&mut self, to: NodeId, packet: &Packet) -> bool {
+        let dst = &mut self.nodes[to as usize];
+        if dst.detached {
+            return false;
+        }
+        dst.stats.rx_bits += packet.nominal_bits;
+        dst.stats.rx_bits_actual += packet.payload.len() as u64 * 8;
+        dst.stats.msgs_rx += 1;
+        dst.mailbox.push(packet.clone());
+        true
+    }
+
+    /// Arms (or with `None` disarms) `id`'s silence deadline `timeout`
+    /// after `now_ns` on the caller's clock (the host clock or a radio's
+    /// virtual one). It fires at most once per arming; traffic re-arms it.
+    pub fn set_deadline(&mut self, id: NodeId, now_ns: u64, timeout: Option<Duration>) {
+        self.nodes[id as usize].deadline = timeout.map(|t| (now_ns + t.as_nanos() as u64, t));
+    }
+
+    /// The earliest armed deadline, if any — the next timer event a
+    /// discrete-event driver jumps its clock to when nothing is on the air.
+    pub fn next_deadline(&self) -> Option<u64> {
+        self.nodes.iter().filter_map(|n| Some(n.deadline?.0)).min()
+    }
+
+    /// Hands every node its mailbox and checks deadlines against `now_ns`.
+    /// A node with deliveries re-arms its deadline (deadlines bound
+    /// *silence*, not session length); a silent node whose deadline has
+    /// passed reports it once, disarmed. Indexed by node id.
+    pub fn poll(&mut self, now_ns: u64) -> Vec<Ready> {
+        let poll_node = |node: &mut Node| {
+            let packets = std::mem::take(&mut node.mailbox);
+            let mut timed_out = None;
+            if let Some((at, after)) = node.deadline {
+                if !packets.is_empty() {
+                    node.deadline = Some((now_ns + after.as_nanos() as u64, after));
+                } else if now_ns >= at {
+                    node.deadline = None;
+                    timed_out = Some(after);
+                }
+            }
+            Ready { packets, timed_out }
+        };
+        self.nodes.iter_mut().map(poll_node).collect()
+    }
+
+    /// One xorshift64* loss draw (none at all on a lossless medium).
+    fn drop_now(&mut self) -> bool {
+        if self.loss <= 0.0 {
+            return false;
+        }
+        self.rng ^= self.rng >> 12;
+        self.rng ^= self.rng << 25;
+        self.rng ^= self.rng >> 27;
+        let x = self.rng.wrapping_mul(0x2545_F491_4F6C_DD1D);
+        ((x >> 11) as f64 / (1u64 << 53) as f64) < self.loss
     }
 }
 
 #[cfg(test)]
+mod reactor;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+
+    pub(crate) fn medium(n: usize) -> Medium {
+        let mut m = Medium::new();
+        for _ in 0..n {
+            m.join();
+        }
+        m
+    }
+
+    pub(crate) fn packet(from: NodeId, kind: u16, payload: &'static [u8], bits: u64) -> Packet {
+        let payload = Bytes::from_static(payload);
+        Packet {
+            from,
+            kind,
+            payload,
+            nominal_bits: bits,
+        }
+    }
+
+    /// Sends over the instant transport.
+    pub(crate) fn send(
+        m: &mut Medium,
+        from: NodeId,
+        to: Dest,
+        kind: u16,
+        payload: &'static [u8],
+        bits: u64,
+    ) {
+        m.send(&to, packet(from, kind, payload, bits));
+        m.flush();
+    }
+
+    fn kinds(ready: &Ready) -> Vec<u16> {
+        ready.packets.iter().map(|p| p.kind).collect()
+    }
 
     #[test]
     fn broadcast_reaches_all_others() {
-        let m = Medium::new();
-        let a = m.join();
-        let b = m.join();
-        let c = m.join();
-        a.broadcast(7, Bytes::from_static(b"hello"), 2080);
-        assert_eq!(b.recv().kind, 7);
-        assert_eq!(c.recv().payload.as_ref(), b"hello");
-        assert!(a.try_recv().is_none(), "no self-delivery");
+        let mut m = medium(3);
+        send(&mut m, 0, Dest::Broadcast, 7, b"hello", 2080);
+        let ready = m.poll(0);
+        assert_eq!(kinds(&ready[1]), vec![7]);
+        assert_eq!(ready[2].packets[0].payload.as_ref(), b"hello");
+        assert!(ready[0].packets.is_empty(), "no self-delivery");
     }
 
     #[test]
     fn unicast_reaches_only_target() {
-        let m = Medium::new();
-        let a = m.join();
-        let b = m.join();
-        let c = m.join();
-        a.unicast(b.id(), 1, Bytes::from_static(b"x"), 8);
-        assert_eq!(b.recv().from, a.id());
-        assert!(c.try_recv().is_none());
+        let mut m = medium(3);
+        send(&mut m, 0, Dest::Unicast(1), 1, b"x", 8);
+        let ready = m.poll(0);
+        assert_eq!(ready[1].packets[0].from, 0);
+        assert!(ready[2].packets.is_empty());
+    }
+
+    #[test]
+    fn multicast_reaches_only_listed_targets() {
+        let mut m = medium(4);
+        send(&mut m, 0, Dest::Multicast(vec![1, 3, 0]), 5, b"m", 64);
+        let ready = m.poll(0);
+        assert_eq!(kinds(&ready[1]), vec![5]);
+        assert_eq!(kinds(&ready[3]), vec![5]);
+        assert!(ready[2].packets.is_empty());
+        assert!(ready[0].packets.is_empty(), "self in target set is skipped");
+        assert_eq!(m.stats(0).msgs_tx, 1);
+        assert_eq!(m.stats(2).msgs_rx, 0);
     }
 
     #[test]
     fn nominal_and_actual_bits_accounted() {
-        let m = Medium::new();
-        let a = m.join();
-        let b = m.join();
-        a.broadcast(0, Bytes::from_static(b"abcd"), 2080); // 4 bytes actual
-        let sa = a.stats();
-        assert_eq!(sa.tx_bits, 2080);
-        assert_eq!(sa.tx_bits_actual, 32);
-        assert_eq!(sa.msgs_tx, 1);
-        let sb = b.stats();
-        assert_eq!(sb.rx_bits, 2080);
-        assert_eq!(sb.rx_bits_actual, 32);
-        assert_eq!(sb.msgs_rx, 1);
+        let mut m = medium(2);
+        send(&mut m, 0, Dest::Broadcast, 0, b"abcd", 2080); // 4 bytes actual
+        let sa = m.stats(0);
+        assert_eq!((sa.tx_bits, sa.tx_bits_actual, sa.msgs_tx), (2080, 32, 1));
+        let sb = m.stats(1);
+        assert_eq!((sb.rx_bits, sb.rx_bits_actual, sb.msgs_rx), (2080, 32, 1));
     }
 
     #[test]
     fn rx_counts_match_paper_shape() {
         // n nodes, each broadcasts 2 messages: every node receives 2(n−1).
-        let m = Medium::new();
         let n = 5;
-        let eps: Vec<Endpoint> = (0..n).map(|_| m.join()).collect();
-        for ep in &eps {
-            ep.broadcast(1, Bytes::new(), 100);
-            ep.broadcast(2, Bytes::new(), 100);
+        let mut m = medium(n);
+        for id in 0..n as NodeId {
+            send(&mut m, id, Dest::Broadcast, 1, b"", 100);
+            send(&mut m, id, Dest::Broadcast, 2, b"", 100);
         }
-        for ep in &eps {
-            assert_eq!(ep.stats().msgs_rx, 2 * (n as u64 - 1));
-            assert_eq!(ep.stats().msgs_tx, 2);
+        for id in 0..n as NodeId {
+            assert_eq!(m.stats(id).msgs_rx, 2 * (n as u64 - 1));
+            assert_eq!(m.stats(id).msgs_tx, 2);
         }
-    }
-
-    #[test]
-    fn partitions_block_delivery() {
-        let m = Medium::new();
-        let a = m.join();
-        let b = m.join();
-        m.set_partition(b.id(), 1);
-        a.broadcast(0, Bytes::new(), 8);
-        assert!(b.try_recv().is_none());
-        assert_eq!(b.stats().msgs_rx, 0);
-        // Moving back re-enables delivery.
-        m.set_partition(b.id(), 0);
-        a.broadcast(0, Bytes::new(), 8);
-        assert!(b.try_recv().is_some());
     }
 
     #[test]
     fn detached_nodes_are_silent() {
-        let m = Medium::new();
-        let a = m.join();
-        let b = m.join();
-        m.detach(b.id());
-        b.broadcast(0, Bytes::new(), 8);
-        assert!(a.try_recv().is_none());
-        a.broadcast(0, Bytes::new(), 8);
-        assert!(b.try_recv().is_none());
-        assert_eq!(b.stats().msgs_tx, 0, "detached sends are not charged");
-    }
-
-    #[test]
-    fn loss_drops_a_fraction() {
-        let m = Medium::new();
-        let a = m.join();
-        let b = m.join();
-        m.set_loss(0.5);
-        for _ in 0..1000 {
-            a.broadcast(0, Bytes::new(), 8);
-        }
-        let got = b.stats().msgs_rx;
-        assert!(
-            (300..700).contains(&got),
-            "50% loss delivered {got}/1000 — generator badly biased"
-        );
-        // Sender is still charged for every transmission.
-        assert_eq!(a.stats().msgs_tx, 1000);
-    }
-
-    #[test]
-    fn loss_is_deterministic_per_medium_seed() {
-        let run = || {
-            let m = Medium::new();
-            let a = m.join();
-            let b = m.join();
-            m.set_loss(0.3);
-            for _ in 0..200 {
-                a.broadcast(0, Bytes::new(), 8);
-            }
-            b.stats().msgs_rx
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn reset_stats_zeroes_everything() {
-        let m = Medium::new();
-        let a = m.join();
-        let b = m.join();
-        a.broadcast(0, Bytes::new(), 8);
-        let _ = b.try_recv();
-        m.reset_stats();
-        assert_eq!(a.stats(), TrafficStats::default());
-        assert_eq!(b.stats(), TrafficStats::default());
-    }
-
-    #[test]
-    fn recv_timeout_expires() {
-        let m = Medium::new();
-        let a = m.join();
-        assert!(a.recv_timeout(Duration::from_millis(10)).is_none());
-    }
-
-    #[test]
-    fn recv_within_times_out_with_typed_error() {
-        let m = Medium::new();
-        let a = m.join();
-        let waited = Duration::from_millis(10);
-        assert_eq!(
-            a.recv_within(Some(waited)),
-            Err(NetError::Timeout { waited })
-        );
-        // A delivered packet comes straight back, under either mode.
-        let b = m.join();
-        b.unicast(a.id(), 3, Bytes::from_static(b"x"), 8);
-        assert_eq!(a.recv_within(Some(waited)).unwrap().kind, 3);
-        b.unicast(a.id(), 4, Bytes::from_static(b"y"), 8);
-        assert_eq!(a.recv_within(None).unwrap().kind, 4);
-    }
-
-    #[test]
-    fn try_unicast_reports_detached_and_unknown_peers() {
-        let m = Medium::new();
-        let a = m.join();
-        let b = m.join();
-        // Healthy target: delivered and charged.
-        a.try_unicast(b.id(), 1, Bytes::from_static(b"ok"), 16)
-            .unwrap();
-        assert_eq!(b.recv().kind, 1);
-        assert_eq!(a.stats().msgs_tx, 1);
-        // Detached target: typed error, nothing charged.
-        m.detach(b.id());
-        assert_eq!(
-            a.try_unicast(b.id(), 2, Bytes::new(), 8),
-            Err(NetError::PeerDetached { peer: b.id() })
-        );
-        assert_eq!(a.stats().msgs_tx, 1, "failed unicast is not charged");
-        // Unknown target id.
-        assert_eq!(
-            a.try_unicast(999, 2, Bytes::new(), 8),
-            Err(NetError::UnknownPeer { peer: 999 })
-        );
-        // Detached sender.
-        m.detach(a.id());
-        assert_eq!(
-            a.try_unicast(0, 2, Bytes::new(), 8),
-            Err(NetError::SelfDetached)
-        );
-    }
-
-    #[test]
-    fn multicast_reaches_only_listed_targets() {
-        let m = Medium::new();
-        let a = m.join();
-        let b = m.join();
-        let c = m.join();
-        let d = m.join();
-        a.multicast(&[b.id(), d.id(), a.id()], 5, Bytes::from_static(b"m"), 64);
-        assert_eq!(b.recv().kind, 5);
-        assert_eq!(d.recv().kind, 5);
-        assert!(c.try_recv().is_none());
-        assert!(a.try_recv().is_none(), "self in target set is skipped");
-        assert_eq!(a.stats().msgs_tx, 1);
-        assert_eq!(c.stats().msgs_rx, 0);
-    }
-
-    #[test]
-    fn cross_thread_round_trip() {
-        let m = Medium::new();
-        let a = m.join();
-        let b = m.join();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let p = b.recv_kind_within(9, None).unwrap();
-                b.unicast(p.from, 10, Bytes::from_static(b"pong"), 32);
-            });
-            a.broadcast(9, Bytes::from_static(b"ping"), 32);
-            let reply = a.recv_kind_within(10, None).unwrap();
-            assert_eq!(reply.payload.as_ref(), b"pong");
-        });
-    }
-
-    #[test]
-    fn recv_kind_checked_reports_mismatch_as_value() {
-        let m = Medium::new();
-        let a = m.join();
-        let b = m.join();
-        a.broadcast(1, Bytes::new(), 8);
-        assert_eq!(
-            b.recv_kind_checked(2),
-            Err(NetError::UnexpectedKind {
-                expected: 2,
-                got: 1,
-                from: a.id(),
-            })
-        );
-    }
-
-    #[test]
-    fn recv_kind_within_buffers_out_of_round_packets() {
-        let m = Medium::new();
-        let a = m.join();
-        let b = m.join();
-        // Round 2 arrives before round 1 (interleaved-scheduler reality).
-        a.broadcast(2, Bytes::from_static(b"late"), 8);
-        a.broadcast(1, Bytes::from_static(b"early"), 8);
-        let r1 = b.recv_kind_within(1, None).unwrap();
-        assert_eq!(r1.payload.as_ref(), b"early");
-        // The buffered round-2 packet is still there.
-        let r2 = b.recv_kind_within(2, None).unwrap();
-        assert_eq!(r2.payload.as_ref(), b"late");
-    }
-
-    #[test]
-    fn recv_kind_within_times_out_without_losing_buffered_packets() {
-        let m = Medium::new();
-        let a = m.join();
-        let b = m.join();
-        a.broadcast(9, Bytes::new(), 8);
-        let waited = Duration::from_millis(10);
-        assert_eq!(
-            b.recv_kind_within(7, Some(waited)),
-            Err(NetError::Timeout { waited })
-        );
-        // The kind-9 packet was stashed, not dropped, and plain receives
-        // see the stash too.
-        assert_eq!(b.try_recv().unwrap().kind, 9);
+        let mut m = medium(2);
+        m.detach(1);
+        send(&mut m, 1, Dest::Broadcast, 0, b"", 8);
+        send(&mut m, 0, Dest::Broadcast, 0, b"", 8);
+        let ready = m.poll(0);
+        assert!(ready[0].packets.is_empty() && ready[1].packets.is_empty());
+        assert_eq!(m.stats(1).msgs_tx, 0, "detached sends are not charged");
     }
 
     #[test]
     fn deferred_medium_parks_sends_in_the_outbox() {
-        let m = Medium::deferred();
-        assert!(m.is_deferred());
-        let a = m.join();
-        let b = m.join();
-        let c = m.join();
-        a.broadcast(3, Bytes::from_static(b"air"), 2080);
+        let mut m = medium(4);
+        m.detach(3);
+        m.send(&Dest::Broadcast, packet(0, 3, b"air", 2080));
         // Nothing delivered yet; the sender is already charged.
-        assert!(b.try_recv().is_none());
-        assert_eq!(a.stats().msgs_tx, 1);
-        assert_eq!(a.stats().tx_bits, 2080);
-        assert_eq!(b.stats().msgs_rx, 0);
+        assert_eq!((m.stats(0).msgs_tx, m.stats(0).tx_bits), (1, 2080));
+        assert_eq!(m.stats(1).msgs_rx, 0);
         let outbox = m.take_outbox();
-        assert_eq!(outbox.len(), 1);
-        assert_eq!(outbox[0].from, a.id());
-        assert_eq!(outbox[0].targets, vec![b.id(), c.id()]);
-        // A second take is empty (drained).
-        assert!(m.take_outbox().is_empty());
+        assert_eq!((outbox.len(), outbox[0].packet.from), (1, 0));
+        assert_eq!(outbox[0].targets, vec![1, 2], "detached 3 is not audible");
+        assert!(m.take_outbox().is_empty(), "drained");
         // The transport delivers when its clock says so; rx is charged then.
-        assert!(m.deliver_to(b.id(), &outbox[0].packet));
-        assert_eq!(b.recv().payload.as_ref(), b"air");
-        assert_eq!(b.stats().rx_bits, 2080);
-        assert_eq!(c.stats().msgs_rx, 0, "undelivered target uncharged");
+        assert!(m.deliver_to(1, &outbox[0].packet));
+        assert_eq!(m.poll(0)[1].packets[0].payload.as_ref(), b"air");
+        assert_eq!(m.stats(1).rx_bits, 2080);
+        assert_eq!(m.stats(2).msgs_rx, 0, "undelivered target uncharged");
     }
 
     #[test]
     fn deferred_send_resolves_partition_and_detachment_at_send_time() {
-        let m = Medium::deferred();
-        let a = m.join();
-        let b = m.join();
-        let c = m.join();
-        m.set_partition(c.id(), 1);
-        m.detach(b.id());
-        a.broadcast(0, Bytes::new(), 8);
+        // Partitions are gone; detachment is the one audibility rule left.
+        let mut m = medium(3);
+        m.detach(1);
+        m.detach(2);
+        m.send(&Dest::Broadcast, packet(0, 0, b"", 8));
         let outbox = m.take_outbox();
         assert_eq!(outbox.len(), 1);
         assert!(
             outbox[0].targets.is_empty(),
-            "partitioned and detached nodes are not audible"
+            "detached nodes are not audible"
         );
         // A target that detaches *after* the send but before delivery is
         // dropped at delivery time.
         let d = m.join();
-        a.broadcast(0, Bytes::new(), 8);
+        m.send(&Dest::Broadcast, packet(0, 0, b"", 8));
         let outbox = m.take_outbox();
-        assert_eq!(outbox[0].targets, vec![d.id()]);
-        m.detach(d.id());
-        assert!(!m.deliver_to(d.id(), &outbox[0].packet));
-        assert_eq!(d.stats().msgs_rx, 0);
+        assert_eq!(outbox[0].targets, vec![d]);
+        m.detach(d);
+        assert!(!m.deliver_to(d, &outbox[0].packet));
+        assert_eq!(m.stats(d).msgs_rx, 0);
+    }
+
+    /// Messages node 1 receives from node 0's `count` broadcasts at 8 bits.
+    fn lossy_run(prob: f64, seed: u64, count: usize) -> (u64, Vec<u16>) {
+        let mut m = medium(2);
+        m.set_loss(prob, seed);
+        for i in 0..count {
+            send(&mut m, 0, Dest::Broadcast, i as u16, b"", 8);
+        }
+        // Sender is still charged for every transmission.
+        assert_eq!(m.stats(0).msgs_tx, count as u64);
+        (m.stats(1).msgs_rx, kinds(&m.poll(0)[1]))
+    }
+
+    #[test]
+    fn loss_drops_a_fraction() {
+        let (got, _) = lossy_run(0.5, 7, 1000);
+        assert!((300..700).contains(&got), "50% loss delivered {got}/1000");
+    }
+
+    #[test]
+    fn loss_is_deterministic_per_medium_seed() {
+        assert_eq!(lossy_run(0.3, 11, 200), lossy_run(0.3, 11, 200));
     }
 
     #[test]
     fn seeded_loss_changes_the_drop_pattern() {
-        let run = |seed: Option<u64>| {
-            let m = Medium::new();
-            let a = m.join();
-            let b = m.join();
-            match seed {
-                Some(s) => m.set_loss_seeded(0.4, s),
-                None => m.set_loss(0.4),
-            }
-            for _ in 0..64 {
-                a.broadcast(0, Bytes::new(), 8);
-            }
-            let mut pattern = 0u64;
-            while let Some(_p) = b.try_recv() {
-                pattern = pattern.wrapping_mul(31).wrapping_add(b.stats().msgs_rx);
-            }
-            (b.stats().msgs_rx, pattern)
-        };
-        assert_eq!(run(Some(7)), run(Some(7)), "same seed, same drops");
-        let (d, _) = run(None);
-        let (s1, _) = run(Some(1));
-        let (s2, _) = run(Some(2));
-        // All in the plausible band, but seeds decorrelate the pattern.
-        for got in [d, s1, s2] {
+        let (s1, p1) = lossy_run(0.4, 1, 64);
+        let (s2, p2) = lossy_run(0.4, 2, 64);
+        assert_ne!(p1, p2, "seeds decorrelate the pattern");
+        // Both in the plausible band.
+        for got in [s1, s2] {
             assert!((20..55).contains(&got), "40% loss delivered {got}/64");
         }
     }

@@ -1,297 +1,78 @@
-//! A non-blocking reactor over [`Endpoint`]s.
-//!
-//! The sans-IO protocol engines in `egka-core` never touch an endpoint:
-//! they consume [`Packet`]s and emit outgoing messages from a `poll` call.
-//! Something still has to move bytes between the medium and those
-//! machines — that is this reactor. One [`Reactor`] owns the endpoints of
-//! every session a scheduler drives (for the service layer: every member
-//! of every group on one shard) and [`Reactor::poll_all`] fans whatever
-//! has arrived into **per-registration mailboxes**, without ever blocking
-//! the scheduler thread.
-//!
-//! Each registration can also carry a **deadline**: if it expires before
-//! any packet arrives for that mailbox, `poll_all` reports
-//! [`ReactorEvent::TimedOut`] carrying a [`NetError::Timeout`], which the
-//! scheduler feeds into the stalled machine (`RoundMachine::on_timeout`)
-//! instead of hanging forever on a powered-off peer.
-
-use std::collections::VecDeque;
-use std::time::{Duration, Instant};
-
-use crate::{Endpoint, NetError, Packet};
-
-/// Handle to one registered endpoint (index into the reactor; stable for
-/// the reactor's lifetime).
-pub type Token = usize;
-
-/// What [`Reactor::poll_all`] observed for one registration.
-#[derive(Debug)]
-pub enum ReactorEvent {
-    /// New packets were fanned into this token's mailbox.
-    Readable(Token),
-    /// The registration's deadline expired with its mailbox empty. The
-    /// embedded error is always [`NetError::Timeout`].
-    TimedOut(Token, NetError),
-}
-
-struct Slot {
-    ep: Endpoint,
-    mailbox: VecDeque<Packet>,
-    deadline: Option<(Instant, Duration)>,
-    /// Virtual-clock deadline `(fires_at_ns, timeout_ns)` for transports
-    /// that run on simulated time instead of the host clock.
-    vdeadline: Option<(u64, u64)>,
-}
-
-/// Non-blocking fan-in from many endpoints to per-registration mailboxes.
-#[derive(Default)]
-pub struct Reactor {
-    slots: Vec<Slot>,
-}
-
-impl Reactor {
-    /// An empty reactor.
-    pub fn new() -> Self {
-        Reactor::default()
-    }
-
-    /// Registers `ep`; its packets will accumulate in the token's mailbox.
-    pub fn register(&mut self, ep: Endpoint) -> Token {
-        self.slots.push(Slot {
-            ep,
-            mailbox: VecDeque::new(),
-            deadline: None,
-            vdeadline: None,
-        });
-        self.slots.len() - 1
-    }
-
-    /// Number of registered endpoints.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True iff no endpoint is registered.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Send-side access to a registered endpoint (receives must go through
-    /// the mailbox, or packets would bypass the fan-in).
-    pub fn endpoint(&self, token: Token) -> &Endpoint {
-        &self.slots[token].ep
-    }
-
-    /// Arms (or with `None` disarms) a deadline `timeout` from now. The
-    /// deadline fires at most once per arming: expiry disarms it.
-    pub fn set_deadline(&mut self, token: Token, timeout: Option<Duration>) {
-        self.slots[token].deadline = timeout.map(|t| (Instant::now() + t, t));
-    }
-
-    /// Arms (or with `None` disarms) a **virtual-clock** silence deadline:
-    /// it fires when a transport's simulated time — supplied to
-    /// [`Reactor::poll_all_at`] — passes `now_ns + timeout_ns` with the
-    /// token's mailbox still empty. Like the wall-clock form, traffic
-    /// re-arms it and expiry disarms it.
-    pub fn set_virtual_deadline(&mut self, token: Token, now_ns: u64, timeout_ns: Option<u64>) {
-        self.slots[token].vdeadline = timeout_ns.map(|t| (now_ns + t, t));
-    }
-
-    /// Drains every endpoint's channel into its mailbox (never blocking)
-    /// and checks deadlines. Returns one event per registration that
-    /// became readable or timed out this poll.
-    pub fn poll_all(&mut self) -> Vec<ReactorEvent> {
-        let now = Instant::now();
-        let mut events = Vec::new();
-        for (token, slot) in self.slots.iter_mut().enumerate() {
-            let mut readable = false;
-            while let Some(p) = slot.ep.try_recv() {
-                slot.mailbox.push_back(p);
-                readable = true;
-            }
-            if readable {
-                // Progress resets the clock: deadlines bound *silence*,
-                // not total session duration.
-                if let Some((_, t)) = slot.deadline {
-                    slot.deadline = Some((now + t, t));
-                }
-                events.push(ReactorEvent::Readable(token));
-            } else if let Some((at, waited)) = slot.deadline {
-                if now >= at && slot.mailbox.is_empty() {
-                    slot.deadline = None;
-                    events.push(ReactorEvent::TimedOut(token, NetError::Timeout { waited }));
-                }
-            }
-        }
-        events
-    }
-
-    /// The earliest armed virtual deadline across all registrations, if
-    /// any — the "next timer event" a discrete-event driver jumps the
-    /// clock to when nothing is on the air.
-    pub fn next_virtual_deadline(&self) -> Option<u64> {
-        self.slots
-            .iter()
-            .filter_map(|s| s.vdeadline.map(|(at, _)| at))
-            .min()
-    }
-
-    /// Like [`Reactor::poll_all`] but for transports on **simulated
-    /// time**: silence deadlines armed with
-    /// [`Reactor::set_virtual_deadline`] are compared against the supplied
-    /// virtual clock `now_ns` instead of the host clock. Wall-clock
-    /// deadlines are ignored on this path — a virtual-time run must never
-    /// time out because the host was slow.
-    pub fn poll_all_at(&mut self, now_ns: u64) -> Vec<ReactorEvent> {
-        let mut events = Vec::new();
-        for (token, slot) in self.slots.iter_mut().enumerate() {
-            let mut readable = false;
-            while let Some(p) = slot.ep.try_recv() {
-                slot.mailbox.push_back(p);
-                readable = true;
-            }
-            if readable {
-                // Progress resets the virtual clock too: deadlines bound
-                // *silence* in simulated time.
-                if let Some((_, t)) = slot.vdeadline {
-                    slot.vdeadline = Some((now_ns + t, t));
-                }
-                events.push(ReactorEvent::Readable(token));
-            } else if let Some((at, timeout_ns)) = slot.vdeadline {
-                if now_ns >= at && slot.mailbox.is_empty() {
-                    slot.vdeadline = None;
-                    events.push(ReactorEvent::TimedOut(
-                        token,
-                        NetError::Timeout {
-                            waited: Duration::from_nanos(timeout_ns),
-                        },
-                    ));
-                }
-            }
-        }
-        events
-    }
-
-    /// Pops the oldest mailbox packet for `token`, if any.
-    pub fn pop(&mut self, token: Token) -> Option<Packet> {
-        self.slots[token].mailbox.pop_front()
-    }
-
-    /// Pops the oldest mailbox packet of round tag `kind`, skipping (and
-    /// keeping) packets of other kinds.
-    pub fn pop_kind(&mut self, token: Token, kind: u16) -> Option<Packet> {
-        let mailbox = &mut self.slots[token].mailbox;
-        let at = mailbox.iter().position(|p| p.kind == kind)?;
-        mailbox.remove(at)
-    }
-
-    /// Packets currently buffered for `token`.
-    pub fn mailbox_len(&self, token: Token) -> usize {
-        self.slots[token].mailbox.len()
-    }
-
-    /// Drains the whole mailbox of `token` (oldest first).
-    pub fn drain(&mut self, token: Token) -> Vec<Packet> {
-        self.slots[token].mailbox.drain(..).collect()
-    }
-}
+//! Tests of the reactor role the medium plays: [`Medium::poll`] hands
+//! every node its mailbox and surfaces expired silence deadlines, without
+//! ever blocking.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::Medium;
-    use bytes::Bytes;
+    use std::time::{Duration, Instant};
+
+    use crate::tests::{medium, send};
+    use crate::Dest;
 
     #[test]
     fn poll_all_fans_packets_to_the_right_mailboxes() {
-        let m = Medium::new();
-        let a = m.join();
-        let mut r = Reactor::new();
-        let tb = r.register(m.join());
-        let tc = r.register(m.join());
-        a.unicast(r.endpoint(tb).id(), 1, Bytes::from_static(b"b"), 8);
-        a.unicast(r.endpoint(tc).id(), 2, Bytes::from_static(b"c"), 8);
-        let events = r.poll_all();
-        assert_eq!(events.len(), 2);
-        assert_eq!(r.pop(tb).unwrap().payload.as_ref(), b"b");
-        assert_eq!(r.pop(tc).unwrap().payload.as_ref(), b"c");
-        assert!(r.pop(tb).is_none());
-    }
-
-    #[test]
-    fn pop_kind_skips_and_keeps_other_kinds() {
-        let m = Medium::new();
-        let a = m.join();
-        let mut r = Reactor::new();
-        let t = r.register(m.join());
-        a.broadcast(5, Bytes::from_static(b"five"), 8);
-        a.broadcast(6, Bytes::from_static(b"six"), 8);
-        r.poll_all();
-        assert_eq!(r.pop_kind(t, 6).unwrap().payload.as_ref(), b"six");
-        assert_eq!(r.mailbox_len(t), 1);
-        assert_eq!(r.pop_kind(t, 5).unwrap().payload.as_ref(), b"five");
-        assert!(r.pop_kind(t, 5).is_none());
+        let mut m = medium(3);
+        send(&mut m, 0, Dest::Unicast(1), 1, b"b", 8);
+        send(&mut m, 0, Dest::Unicast(2), 2, b"c", 8);
+        let ready = m.poll(0);
+        assert_eq!(ready.iter().map(|r| r.packets.len()).sum::<usize>(), 2);
+        assert_eq!(ready[1].packets[0].payload.as_ref(), b"b");
+        assert_eq!(ready[2].packets[0].payload.as_ref(), b"c");
+        assert!(m.poll(0)[1].packets.is_empty(), "handed over once");
     }
 
     #[test]
     fn deadline_surfaces_timeout_once_and_only_when_silent() {
-        let m = Medium::new();
-        let a = m.join();
-        let mut r = Reactor::new();
-        let t = r.register(m.join());
-        r.set_deadline(t, Some(Duration::from_millis(0)));
+        // The deadline runs on whatever clock the caller supplies; here
+        // it is the host clock.
+        let start = Instant::now();
+        let now = || start.elapsed().as_nanos() as u64;
+        let mut m = medium(2);
+        m.set_deadline(1, now(), Some(Duration::ZERO));
         std::thread::sleep(Duration::from_millis(2));
-        let events = r.poll_all();
-        assert!(matches!(
-            events[..],
-            [ReactorEvent::TimedOut(tok, NetError::Timeout { .. })] if tok == t
-        ));
+        let ready = m.poll(now());
+        assert_eq!(ready[1].timed_out, Some(Duration::ZERO));
+        assert!(ready[0].timed_out.is_none(), "unarmed nodes never fire");
         // Expiry disarmed it: silence no longer reports.
-        assert!(r.poll_all().is_empty());
+        assert!(m.poll(now()).iter().all(|r| r.timed_out.is_none()));
         // Re-armed, but traffic resets the clock instead of timing out.
-        r.set_deadline(t, Some(Duration::from_millis(0)));
-        a.broadcast(1, Bytes::new(), 8);
+        m.set_deadline(1, now(), Some(Duration::ZERO));
+        send(&mut m, 0, Dest::Broadcast, 1, b"", 8);
         std::thread::sleep(Duration::from_millis(2));
-        let events = r.poll_all();
-        assert!(matches!(events[..], [ReactorEvent::Readable(tok)] if tok == t));
+        let ready = m.poll(now());
+        assert_eq!(ready[1].packets.len(), 1);
+        assert!(ready[1].timed_out.is_none());
     }
 
     #[test]
     fn virtual_deadline_fires_on_the_simulated_clock_only() {
-        let m = Medium::new();
-        let a = m.join();
-        let mut r = Reactor::new();
-        let t = r.register(m.join());
-        r.set_virtual_deadline(t, 0, Some(1_000_000)); // 1 virtual ms
-                                                       // The host clock is irrelevant: polling *before* the virtual
-                                                       // deadline reports nothing, no matter how long the host waited.
+        let mut m = medium(2);
+        let ms = Duration::from_millis(1);
+        m.set_deadline(1, 0, Some(ms));
+        assert_eq!(m.next_deadline(), Some(1_000_000));
+        // Only the supplied clock counts: polling before the deadline
+        // reports nothing, however long the host waited.
         std::thread::sleep(Duration::from_millis(3));
-        assert!(r.poll_all_at(999_999).is_empty());
-        // Crossing the virtual deadline with a silent mailbox fires once.
-        let events = r.poll_all_at(1_000_000);
-        assert!(matches!(
-            events[..],
-            [ReactorEvent::TimedOut(tok, NetError::Timeout { waited })]
-                if tok == t && waited == Duration::from_millis(1)
-        ));
-        assert!(r.poll_all_at(2_000_000).is_empty(), "expiry disarms");
+        assert!(m.poll(999_999)[1].timed_out.is_none());
+        assert_eq!(m.poll(1_000_000)[1].timed_out, Some(ms));
+        assert!(m.poll(1_500_000)[1].timed_out.is_none(), "expiry disarms");
+        assert_eq!(m.next_deadline(), None);
         // Traffic re-arms the silence window instead of timing out.
-        r.set_virtual_deadline(t, 2_000_000, Some(1_000_000));
-        a.broadcast(1, Bytes::new(), 8);
-        let events = r.poll_all_at(3_000_000);
-        assert!(matches!(events[..], [ReactorEvent::Readable(tok)] if tok == t));
-        assert!(r.pop(t).is_some());
-        assert!(r.poll_all_at(3_500_000).is_empty(), "re-armed at 3 ms");
-        assert_eq!(r.poll_all_at(4_000_000).len(), 1, "fires at 3 ms + 1 ms");
+        m.set_deadline(1, 2_000_000, Some(ms));
+        send(&mut m, 0, Dest::Broadcast, 1, b"", 8);
+        assert_eq!(m.poll(3_000_000)[1].packets.len(), 1);
+        assert!(m.poll(3_500_000)[1].timed_out.is_none(), "re-armed at 3 ms");
+        assert_eq!(m.poll(4_000_000)[1].timed_out, Some(ms), "3 ms + 1 ms");
     }
 
     #[test]
     fn never_blocks_with_nothing_to_read() {
-        let m = Medium::new();
-        let mut r = Reactor::new();
-        let t = r.register(m.join());
-        assert!(r.poll_all().is_empty());
-        assert_eq!(r.mailbox_len(t), 0);
-        assert!(r.drain(t).is_empty());
+        let mut m = medium(3);
+        let ready = m.poll(0);
+        assert_eq!(ready.len(), 3);
+        assert!(ready
+            .iter()
+            .all(|r| r.packets.is_empty() && r.timed_out.is_none()));
+        assert!(m.take_outbox().is_empty());
     }
 }

@@ -155,10 +155,6 @@ pub struct ChurnConfig {
     /// keyed to the virtual clock, the recorded events themselves are
     /// deterministic per seed.
     pub trace: Option<egka_trace::TraceConfig>,
-    /// Fan each protocol step's per-node machine sweeps across threads
-    /// (wall-clock only; every fingerprint, counter and trace event is
-    /// bit-identical to the sequential pump — `trace_churn` asserts it).
-    pub parallel_pump: bool,
     /// Arm the service's identifiable-abort eviction engine (`None`, the
     /// default, keeps the legacy golden-pinned behaviour: stalled groups
     /// retry forever).
@@ -187,7 +183,6 @@ impl Default for ChurnConfig {
             radio: None,
             suite_policy: SuitePolicy::default(),
             trace: None,
-            parallel_pump: false,
             eviction: None,
             faults: Vec::new(),
             reshard: None,
@@ -473,8 +468,7 @@ fn assemble_builder(
     let mut builder = KeyService::builder()
         .shards(config.shards)
         .seed(config.seed)
-        .suite_policy(config.suite_policy.clone())
-        .parallel_pump(config.parallel_pump);
+        .suite_policy(config.suite_policy.clone());
     if let Some(r) = &config.radio {
         builder = builder.radio(RadioConfig {
             profile: r.profile.clone(),
@@ -1007,7 +1001,6 @@ mod tests {
             radio: None,
             suite_policy: SuitePolicy::default(),
             trace: None,
-            parallel_pump: false,
             eviction: None,
             faults: Vec::new(),
             reshard: None,
@@ -1052,24 +1045,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_pump_reproduces_the_golden_bit_for_bit() {
-        // The parallel sweep buffers per-node output and dispatches it in
-        // node-index order, so churn over threads must land on the exact
-        // same fingerprint, counters and priced energy as the sequential
-        // golden above.
-        let mut config = small();
-        config.parallel_pump = true;
-        let report = run_churn(&config);
-        assert_eq!(report.key_fingerprint, 0x6e14_e41f_677b_0a8b);
-        assert_eq!(report.events_applied, 55);
-        assert_eq!(report.rekeys_executed, 36);
-        assert!((report.energy_mj - 41_399.819_52).abs() < 1e-3);
-    }
-
-    #[test]
     fn churn_over_ideal_radio_matches_the_instant_golden_bit_for_bit() {
-        // Medium/reactor equivalence: with zero delay, zero loss and
-        // infinite batteries, a churn run over `egka-medium` (airtime
+        // Instant/radio transport equivalence: with zero delay, zero loss
+        // and infinite batteries, a churn run over `egka-medium` (airtime
         // serialization and all) reproduces the instant-medium golden
         // (`churn_matches_blocking_driver_golden`) exactly — fingerprint,
         // counters and priced energy.
@@ -1143,6 +1121,29 @@ mod tests {
         let again = run_churn(&config);
         assert_eq!(report.key_fingerprint, again.key_fingerprint);
         assert_eq!(report.steps_retried, again.steps_retried);
+    }
+
+    #[test]
+    fn lossy_churns_match_their_goldens() {
+        // The churn goldens above all run on reliable media; these pin the
+        // seeded-loss paths — the instant medium's send-time loss draws and
+        // the radio's schedule-time draws with battery deaths on top.
+        let mut lossy = small();
+        lossy.loss = 0.02;
+        let report = run_churn(&lossy);
+        assert_eq!(report.key_fingerprint, 0xd5f8_5b4f_cf89_da00);
+        assert_eq!(report.energy_mj.to_bits(), 0x40ea_e32b_0f27_bb2f);
+        assert_eq!(report.metrics.traffic.msgs_rx, 1879);
+        let mut radio = small();
+        radio.loss = 0.02;
+        radio.radio = Some(RadioChurnConfig::sensor_field());
+        let report = run_churn(&radio);
+        let summary = report.radio.expect("radio summary");
+        let (p50, _, _) = summary.latency_quantiles_ms.expect("virtual quantiles");
+        assert_eq!(report.key_fingerprint, 0x54a9_13a1_f95e_dd72);
+        assert_eq!(summary.died, vec![0, 1]);
+        assert_eq!(p50.to_bits(), 0x4068_3800_0000_0000);
+        assert_eq!(summary.total_spent_uj.to_bits(), 0x4185_41a5_3ae1_47b1);
     }
 
     #[test]

@@ -83,8 +83,8 @@ fn main() {
     // loss at the transport layer (the paper assumes reliable broadcast;
     // our medium can drop packets to show where that assumption bites).
     println!(
-        "\n(see egka_net::Medium::set_loss for loss injection; the GKA drivers\n\
-         assume the paper's reliable broadcast and would block on a dropped\n\
-         round message — a deliberate fidelity choice documented in DESIGN.md)"
+        "\n(see egka_core::Faults::loss for loss injection: a dropped round\n\
+         message stalls the protocol run, and the key service retries it with\n\
+         fresh randomness — the paper's \"all members retransmit\" path)"
     );
 }
