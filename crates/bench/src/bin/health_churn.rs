@@ -19,9 +19,12 @@
 //!   association order (energy) — the same partition property the
 //!   service-level proptest pins;
 //! * the registry's Prometheus exposition must parse line by line
-//!   (`# HELP`/`# TYPE` discipline, label syntax, finite sample values)
-//!   and, under `--check-determinism`, render **byte-identically** on a
-//!   same-seed rerun — only virtual/deterministic values may feed it;
+//!   (`# HELP`/`# TYPE` discipline, label syntax, finite sample values),
+//!   its `energy_mj_total` and per-suite `suite_energy_mj_sum` samples
+//!   must equal the `ServiceMetrics` energy totals **exactly** (group
+//!   creation included), and under `--check-determinism` it must render
+//!   **byte-identically** on a same-seed rerun — only
+//!   virtual/deterministic values may feed it;
 //! * the ring must record zero drops (`trace_drops`, gated nonzero-fatal
 //!   by `bench_diff`).
 //!
@@ -32,6 +35,7 @@
 use std::sync::Arc;
 
 use egka_bench::{arg_value, has_flag};
+use egka_service::ServiceMetrics;
 use egka_sim::{run_churn, ChurnConfig, ChurnReport};
 use egka_trace::{MetricsRegistry, TraceConfig};
 
@@ -160,6 +164,39 @@ fn assert_reconciles(report: &ChurnReport) {
     );
 }
 
+/// The exposition's energy samples equal the service ledger bit for bit:
+/// `energy_mj_total` and every `suite_energy_mj_sum{suite=…}`. Samples
+/// render shortest-round-trip, so parsing recovers the exact `f64`.
+fn assert_exposition_energy(text: &str, m: &ServiceMetrics) {
+    let sample = |name: &str| -> f64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("exposition has no {name} sample"))
+    };
+    let total = sample("energy_mj_total");
+    assert_eq!(
+        total.to_bits(),
+        m.energy_mj.to_bits(),
+        "energy_mj_total {total} != metrics {}",
+        m.energy_mj
+    );
+    for (suite, usage) in &m.per_suite {
+        let name = format!("suite_energy_mj_sum{{suite=\"{}\"}}", suite.key());
+        let sum = sample(&name);
+        assert_eq!(
+            sum.to_bits(),
+            usage.energy_mj.to_bits(),
+            "{name} {sum} != metrics {}",
+            usage.energy_mj
+        );
+    }
+    let suites = text
+        .lines()
+        .filter(|l| l.starts_with("suite_energy_mj_sum{"))
+        .count();
+    assert_eq!(suites, m.per_suite.len(), "suite_energy_mj series");
+}
+
 fn health_label(report: &ChurnReport) -> &'static str {
     report.health.label()
 }
@@ -211,8 +248,9 @@ fn main() {
     assert_reconciles(&report);
     println!("per-shard stats reconcile with service totals ✓");
     validate_exposition(&exposition);
+    assert_exposition_energy(&exposition, &report.metrics);
     println!(
-        "exposition parses ({} bytes, {} lines) ✓\n",
+        "exposition parses and its energy equals the service totals ({} bytes, {} lines) ✓\n",
         exposition.len(),
         exposition.lines().count()
     );

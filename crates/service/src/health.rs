@@ -22,6 +22,7 @@ use egka_core::UserId;
 use egka_trace::{Histogram, StallCause};
 
 use crate::event::GroupId;
+use crate::metrics::EpochReport;
 
 /// Consecutive stalled epochs after which [`HealthReport::Stalled`]
 /// flags a group (below this, stalls surface as
@@ -31,13 +32,17 @@ pub const STALLED_AFTER_EPOCHS: u64 = 3;
 /// Cumulative load and outcome counters for one shard, plus the live
 /// gauges [`crate::KeyService::shard_stats`] fills at snapshot time.
 ///
-/// The counter fields sum to the matching [`crate::ServiceMetrics`]
-/// totals across shards — exactly for the integer counters, and to
-/// floating-point association order for `energy_mj` (the proptest in
-/// `tests/health.rs` pins both). Merge-phase work is attributed to the
-/// *host* group's shard; group-creation energy to the created group's
-/// shard; WAL bytes to the shard of the record's group (epoch commits
-/// and config records are coordinator-wide and unattributed).
+/// One fold feeds these counters: each shard-attributed [`EpochReport`]
+/// (a shard's epoch, one merge host's folds, one group's creation) is
+/// booked into its shard's row and into the total that then feeds
+/// [`crate::ServiceMetrics`] and the metrics registry. So the counter
+/// fields sum to the matching [`crate::ServiceMetrics`] totals across
+/// shards — exactly for the integer counters, and to floating-point
+/// association order for `energy_mj` (the proptest in `tests/health.rs`
+/// pins both). Merge-phase work is attributed to the *host* group's
+/// shard; group-creation energy to the created group's shard; WAL bytes
+/// to the shard of the record's group (epoch commits and config records
+/// are coordinator-wide and unattributed).
 #[derive(Clone, Debug, Default)]
 pub struct ShardStats {
     /// Shard index.
@@ -71,6 +76,21 @@ pub struct ShardStats {
 }
 
 impl ShardStats {
+    /// Books one report attributed to this shard.
+    pub(crate) fn fold(&mut self, part: &EpochReport) {
+        self.events_applied += part.events_applied;
+        self.events_rejected += part.events_rejected;
+        self.events_cancelled += part.events_cancelled;
+        self.rekeys_executed += part.rekeys_executed;
+        self.rekeys_failed += part.rekeys_failed;
+        self.groups_stalled += part.groups_stalled;
+        self.steps_retried += part.steps_retried;
+        self.energy_mj += part.energy_mj;
+        for &ms in &part.rekey_latencies_virtual_ms {
+            self.latency_virtual.observe(ms);
+        }
+    }
+
     /// Folds another shard's cumulative counters into this one — used when
     /// a shard is removed, so its history is absorbed (by convention into
     /// shard 0) instead of vanishing and breaking the stats-sum-to-metrics

@@ -34,6 +34,16 @@ pub(crate) fn add_per_suite(
     }
 }
 
+/// Events applied per rekey executed: 1.0 when nothing happened,
+/// infinite when events applied without any rekey.
+fn coalesce_ratio(events_applied: u64, rekeys_executed: u64) -> f64 {
+    match (events_applied, rekeys_executed) {
+        (0, 0) => 1.0,
+        (_, 0) => f64::INFINITY,
+        _ => events_applied as f64 / rekeys_executed as f64,
+    }
+}
+
 /// Cumulative service counters (monotone across epochs).
 #[derive(Clone, Debug, Default)]
 pub struct ServiceMetrics {
@@ -120,13 +130,7 @@ impl ServiceMetrics {
     /// Events applied per rekey executed — the coalescing win. Greater
     /// than 1.0 means batching saved protocol executions.
     pub fn coalesce_ratio(&self) -> f64 {
-        if self.rekeys_executed == 0 {
-            if self.events_applied == 0 {
-                return 1.0;
-            }
-            return f64::INFINITY;
-        }
-        self.events_applied as f64 / self.rekeys_executed as f64
+        coalesce_ratio(self.events_applied, self.rekeys_executed)
     }
 
     /// `(p50, p95, p99)` rekey latency in **virtual radio milliseconds**
@@ -343,13 +347,7 @@ pub struct EpochReport {
 impl EpochReport {
     /// Events applied per rekey this epoch.
     pub fn coalesce_ratio(&self) -> f64 {
-        if self.rekeys_executed == 0 {
-            if self.events_applied == 0 {
-                return 1.0;
-            }
-            return f64::INFINITY;
-        }
-        self.events_applied as f64 / self.rekeys_executed as f64
+        coalesce_ratio(self.events_applied, self.rekeys_executed)
     }
 
     /// `(p50, p95, max)` rekey latency of this epoch, if any rekeys ran.
@@ -369,7 +367,41 @@ impl EpochReport {
         quantiles3(&self.rekey_latencies_virtual_ms)
     }
 
-    /// Folds this epoch into the cumulative service counters.
+    /// Adds `part` — one shard's epoch, one merge host's folds, one group
+    /// creation — into this running total, field by field (all but
+    /// `epoch`). Floating-point totals are summed in call order, which the
+    /// callers keep fixed.
+    pub(crate) fn absorb(&mut self, part: EpochReport) {
+        self.groups_touched += part.groups_touched;
+        self.events_applied += part.events_applied;
+        self.events_rejected += part.events_rejected;
+        self.rejections.extend(part.rejections);
+        self.events_cancelled += part.events_cancelled;
+        self.rekeys_executed += part.rekeys_executed;
+        self.full_gka_runs += part.full_gka_runs;
+        self.rekeys_failed += part.rekeys_failed;
+        self.groups_stalled += part.groups_stalled;
+        self.steps_retried += part.steps_retried;
+        self.groups_dissolved += part.groups_dissolved;
+        self.energy_mj += part.energy_mj;
+        self.ops.merge(&part.ops);
+        add_traffic(&mut self.traffic, &part.traffic);
+        self.nodes_died += part.nodes_died;
+        self.evicted.extend(part.evicted);
+        self.members_evicted += part.members_evicted;
+        self.blame_certs += part.blame_certs;
+        self.rekey_latencies.extend(part.rekey_latencies);
+        self.rekey_latencies_virtual_ms
+            .extend(part.rekey_latencies_virtual_ms);
+        add_per_suite(&mut self.per_suite, &part.per_suite);
+        self.stall_events.extend(part.stall_events);
+        self.rekeyed_groups.extend(part.rekeyed_groups);
+        self.phases.add(&part.phases);
+    }
+
+    /// Folds this report into the cumulative service counters. A tick's
+    /// report counts one epoch; an epoch-0 report is one group's creation
+    /// (see `KeyService::commit`) and counts one created group instead.
     pub(crate) fn fold_into(&self, m: &mut ServiceMetrics) {
         m.events_applied += self.events_applied;
         m.events_rejected += self.events_rejected;
@@ -390,7 +422,11 @@ impl EpochReport {
         m.ops.merge(&self.ops);
         add_traffic(&mut m.traffic, &self.traffic);
         add_per_suite(&mut m.per_suite, &self.per_suite);
-        m.epochs += 1;
+        if self.epoch == 0 {
+            m.groups_created += 1;
+        } else {
+            m.epochs += 1;
+        }
     }
 }
 

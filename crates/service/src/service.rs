@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use egka_bigint::Ubig;
-use egka_core::suite::{suite, StepCtx, SuiteId, SuiteOutcome};
+use egka_core::suite::{suite, StepCtx, SuiteId};
 use egka_core::{par, Faults, GroupSession, Pkg, Pump, RadioSpec, UserId};
 use egka_energy::OpCounts;
 use egka_medium::{BatteryBank, BatteryStatus, RadioProfile};
@@ -23,7 +23,7 @@ use crate::hashing::ShardDirectory;
 use crate::health::{
     HealthReport, PhaseProfile, ShardStats, StallEvent, StallLedger, STALLED_AFTER_EPOCHS,
 };
-use crate::metrics::{add_per_suite, add_traffic, traffic_of, EpochReport, ServiceMetrics};
+use crate::metrics::{traffic_of, EpochReport, ServiceMetrics};
 use crate::persist::{
     decode_snapshot, encode_snapshot, seal_group_state, unseal_group_state, RecoveryReport,
     SnapshotState, StoreConfig, WalRecord,
@@ -272,13 +272,6 @@ impl ServiceBuilder {
                 sc.backend = Arc::new(TracedStore::new(Arc::clone(&sc.backend), cfg.trace.clone()));
             }
         }
-        let shards = (0..cfg.shards).map(|_| Shard::default()).collect();
-        let health_shards = (0..cfg.shards)
-            .map(|shard| ShardStats {
-                shard,
-                ..ShardStats::default()
-            })
-            .collect();
         let bank = cfg
             .radio
             .as_ref()
@@ -289,12 +282,13 @@ impl ServiceBuilder {
             .eviction
             .map(|_| CoordinatorKey::from_seed(mix(cfg.seed, 0xb1a4e)));
         let directory = ShardDirectory::new(cfg.shards as u32, PLACEMENT_SALT);
-        KeyService {
+        let shards = cfg.shards;
+        let mut svc = KeyService {
             pkg,
             loss: cfg.loss,
             config: cfg,
-            shards,
-            health_shards,
+            shards: Vec::new(),
+            health_shards: Vec::new(),
             directory,
             last_moved: BTreeMap::new(),
             handoffs: 0,
@@ -313,7 +307,9 @@ impl ServiceBuilder {
             blame_certs: Vec::new(),
             replay_certs: Vec::new(),
             replay_fault: None,
-        }
+        };
+        svc.resize_pool(shards);
+        svc
     }
 
     /// Rebuilds a service from this builder's [`ServiceBuilder::store`]:
@@ -1070,7 +1066,7 @@ impl KeyService {
             if members[..i].contains(u) {
                 return Err(ServiceError::DuplicateMember(*u));
             }
-            if self.detached.contains(u) || self.bank.as_ref().is_some_and(|b| b.is_dead(u.0)) {
+            if self.unreachable(*u) {
                 return Err(ServiceError::MemberUnavailable(*u));
             }
         }
@@ -1116,19 +1112,22 @@ impl KeyService {
             }
         }
         let out = run.finish();
-        let mut created_mj = 0.0;
+        // Provisioning is booked as an epoch-0 report on the shard the
+        // group will live on: it counts one suite rekey but no shard rekey
+        // (creations are not epoch dynamics).
+        let mut created = EpochReport::default();
         for node in &out.reports {
-            self.metrics.ops.merge(&node.counts);
-            created_mj += self.config.cost.price_mj(&node.counts);
-            add_traffic(&mut self.metrics.traffic, &traffic_of(&node.counts));
+            created.ops.merge(&node.counts);
+            created.energy_mj += self.config.cost.price_mj(&node.counts);
         }
-        self.metrics.energy_mj += created_mj;
-        // Provisioning energy lands on the shard the group will live on
-        // (creations count no shard rekey — they are not epoch dynamics).
-        self.health_shards[shard].energy_mj += created_mj;
-        let usage = self.metrics.per_suite.entry(suite_id).or_default();
-        usage.rekeys += 1;
-        usage.energy_mj += created_mj;
+        created.traffic = traffic_of(&created.ops);
+        let created_mj = created.energy_mj;
+        let usage = created.per_suite.entry(suite_id).or_default();
+        usage.rekeys = 1;
+        usage.energy_mj = created_mj;
+        let mut total = EpochReport::default();
+        self.book(shard, created, &mut total);
+        self.commit(&total);
         if let Some(st) = strace {
             st.close();
             let end = st.end_ns();
@@ -1143,9 +1142,6 @@ impl KeyService {
                 ),
             );
             self.coord_ns = self.coord_ns.max(end);
-            if let Some(reg) = self.config.trace.registry() {
-                reg.add("groups_created", 1);
-            }
         }
         self.shards[shard].groups.insert(
             gid,
@@ -1156,7 +1152,6 @@ impl KeyService {
                 rekeys: 0,
             },
         );
-        self.metrics.groups_created += 1;
         self.metrics.groups_active += 1;
         self.log(WalRecord::CreateGroup {
             gid,
@@ -1231,12 +1226,19 @@ impl KeyService {
         // tick, over the survivors.
         let (evicted_pairs, certs_signed) = self.synthesize_evictions(epoch);
 
+        // The epoch's total: every shard-attributed part is booked into it
+        // (and into its shard's stats) by `book`, then `commit` folds it
+        // into the metrics and the registry once.
+        let mut report = EpochReport {
+            epoch,
+            members_evicted: evicted_pairs.len() as u64,
+            blame_certs: certs_signed,
+            evicted: evicted_pairs,
+            ..EpochReport::default()
+        };
         let merges_started = Instant::now();
-        let (mut merge_report, deferred_merges) = self.resolve_merges(epoch);
-        merge_report.phases.execute.wall += merges_started.elapsed();
-        merge_report.members_evicted = evicted_pairs.len() as u64;
-        merge_report.blame_certs = certs_signed;
-        merge_report.evicted = evicted_pairs;
+        let deferred_merges = self.resolve_merges(epoch, &mut report);
+        report.phases.execute.wall += merges_started.elapsed();
 
         // Fan out: shards are independent (no group spans two shards), so
         // this is lock-free parallelism; determinism is per-shard. The
@@ -1268,50 +1270,18 @@ impl KeyService {
         });
 
         let commit_started = Instant::now();
-        for (i, shard) in self.shards.iter_mut().enumerate() {
+        for i in 0..self.shards.len() {
             // Shards buffered their events locally during the parallel
             // phase; draining them here, in shard order, keeps the global
             // event stream deterministic.
+            let shard = &mut self.shards[i];
             if trace_enabled {
                 self.config
                     .trace
                     .emit_all(std::mem::take(&mut shard.scratch_trace));
             }
-            let scratch = std::mem::take(&mut shard.scratch);
-            let hs = &mut self.health_shards[i];
-            hs.events_applied += scratch.events_applied;
-            hs.events_rejected += scratch.events_rejected;
-            hs.events_cancelled += scratch.events_cancelled;
-            hs.rekeys_executed += scratch.rekeys_executed;
-            hs.rekeys_failed += scratch.rekeys_failed;
-            hs.groups_stalled += scratch.groups_stalled;
-            hs.steps_retried += scratch.steps_retried;
-            hs.energy_mj += scratch.energy_mj;
-            for &ms in &scratch.rekey_latencies_virtual_ms {
-                hs.latency_virtual.observe(ms);
-            }
-            merge_report.phases.add(&scratch.phases);
-            merge_report.stall_events.extend(scratch.stall_events);
-            merge_report.rekeyed_groups.extend(scratch.rekeyed_groups);
-            merge_report.groups_touched += scratch.groups_touched;
-            merge_report.events_applied += scratch.events_applied;
-            merge_report.events_rejected += scratch.events_rejected;
-            merge_report.rejections.extend(scratch.rejections);
-            merge_report.events_cancelled += scratch.events_cancelled;
-            merge_report.rekeys_executed += scratch.rekeys_executed;
-            merge_report.full_gka_runs += scratch.full_gka_runs;
-            merge_report.rekeys_failed += scratch.rekeys_failed;
-            merge_report.groups_stalled += scratch.groups_stalled;
-            merge_report.steps_retried += scratch.steps_retried;
-            merge_report.groups_dissolved += scratch.groups_dissolved;
-            merge_report.energy_mj += scratch.energy_mj;
-            merge_report.ops.merge(&scratch.ops);
-            add_traffic(&mut merge_report.traffic, &scratch.traffic);
-            merge_report.rekey_latencies.extend(scratch.rekey_latencies);
-            merge_report
-                .rekey_latencies_virtual_ms
-                .extend(scratch.rekey_latencies_virtual_ms);
-            add_per_suite(&mut merge_report.per_suite, &scratch.per_suite);
+            let part = std::mem::take(&mut shard.scratch);
+            self.book(i, part, &mut report);
         }
         // Directory hygiene: groups that dissolved this epoch must not
         // leave stale pins (or cooldown stamps) behind — a reused gid
@@ -1336,7 +1306,7 @@ impl KeyService {
             let u = UserId(user);
             if self.known_dead.insert(u) {
                 self.detached.insert(u);
-                merge_report.nodes_died += 1;
+                report.nodes_died += 1;
                 if trace_enabled {
                     let ts = self.coord_ts();
                     self.config.trace.emit(
@@ -1361,23 +1331,22 @@ impl KeyService {
                 // Already counted at its original submit; no re-count.
             }
         }
-        merge_report.epoch = epoch;
         // Feed the stall ledger: successes first (they close streaks),
         // then this epoch's stalls — a group that both merged and stalled
         // this epoch is, as of now, stalled.
-        for gid in &merge_report.rekeyed_groups {
+        for gid in &report.rekeyed_groups {
             self.ledger.record_success(*gid);
         }
-        for ev in &merge_report.stall_events {
+        for ev in &report.stall_events {
             self.ledger.record_stall(ev.group, ev.cause, &ev.culprits);
         }
-        merge_report.fold_into(&mut self.metrics);
-        self.metrics.groups_active = self.shards.iter().map(|s| s.groups.len() as u64).sum();
+        self.metrics.groups_active = self.groups_active() as u64;
+        self.commit(&report);
         // Write-ahead commit: the epoch is durable before its report is
         // visible to the caller, so an acknowledged rekey can always be
         // reconstructed.
         self.log(WalRecord::EpochCommit { epoch });
-        merge_report.phases.commit.wall += commit_started.elapsed();
+        report.phases.commit.wall += commit_started.elapsed();
         let snapshot_due = self.config.store.as_ref().is_some_and(|store| {
             !self.replaying
                 && store.snapshot_every > 0
@@ -1386,51 +1355,10 @@ impl KeyService {
         if snapshot_due {
             let snapshot_started = Instant::now();
             self.snapshot_now();
-            merge_report.phases.snapshot.wall += snapshot_started.elapsed();
+            report.phases.snapshot.wall += snapshot_started.elapsed();
         }
-        self.phase_totals.add(&merge_report.phases);
+        self.phase_totals.add(&report.phases);
         if trace_enabled {
-            if let Some(reg) = self.config.trace.registry() {
-                reg.add("epochs", 1);
-                reg.add("rekeys", merge_report.rekeys_executed);
-                reg.add("rekeys_failed", merge_report.rekeys_failed);
-                reg.add("steps_retried", merge_report.steps_retried);
-                reg.add("nodes_died", merge_report.nodes_died);
-                // Robustness counters appear only once an eviction fires,
-                // keeping eviction-free expositions bit-identical.
-                if merge_report.members_evicted > 0 {
-                    reg.add("members_evicted", merge_report.members_evicted);
-                    reg.add("blame_certs", merge_report.blame_certs);
-                }
-                for ms in &merge_report.rekey_latencies_virtual_ms {
-                    reg.observe("rekey_latency_vms", *ms);
-                }
-                for (sid, usage) in &merge_report.per_suite {
-                    reg.observe(
-                        &labeled("suite_energy_mj", &[("suite", sid.key())]),
-                        usage.energy_mj,
-                    );
-                }
-                // Live-load gauges and epoch-windowed rates — all virtual
-                // / deterministic values, so same-seed runs render a
-                // byte-identical exposition.
-                for (i, shard) in self.shards.iter().enumerate() {
-                    let idx = i.to_string();
-                    reg.set_gauge(
-                        &labeled("shard_groups", &[("shard", &idx)]),
-                        shard.groups.len() as f64,
-                    );
-                    reg.set_gauge(
-                        &labeled("shard_pending_events", &[("shard", &idx)]),
-                        shard.pending.values().map(|q| q.len()).sum::<usize>() as f64,
-                    );
-                }
-                reg.set_gauge("groups_active", self.metrics.groups_active as f64);
-                reg.meter("events_applied", merge_report.events_applied as f64);
-                reg.meter("rekeys_executed", merge_report.rekeys_executed as f64);
-                reg.meter("energy_mj", merge_report.energy_mj);
-                reg.roll_window();
-            }
             let ts = self.coord_ts();
             self.config.trace.emit(
                 Event::new(Phase::End, ts, COORD_PID, CONTROL_TID, "epoch").with(Payload::Epoch {
@@ -1439,7 +1367,70 @@ impl KeyService {
                 }),
             );
         }
-        merge_report
+        report
+    }
+
+    /// The one booking path into the per-shard ledger: `part` — one
+    /// shard's epoch, one merge host's folds, or one group's creation —
+    /// lands in shard `shard`'s [`ShardStats`] and is added into `total`.
+    fn book(&mut self, shard: usize, part: EpochReport, total: &mut EpochReport) {
+        self.health_shards[shard].fold(&part);
+        total.absorb(part);
+    }
+
+    /// Folds a booked total into [`ServiceMetrics`] and, from the same
+    /// numbers, into the attached metrics registry — the one place either
+    /// is fed from an [`EpochReport`], so the exposition's totals equal the
+    /// metrics exactly. A tick commits its epoch; a group creation commits
+    /// an epoch-0 report, which meters its energy but closes no window.
+    fn commit(&mut self, total: &EpochReport) {
+        total.fold_into(&mut self.metrics);
+        let Some(reg) = self.config.trace.registry() else {
+            return;
+        };
+        for ms in &total.rekey_latencies_virtual_ms {
+            reg.observe("rekey_latency_vms", *ms);
+        }
+        for (sid, usage) in &total.per_suite {
+            reg.observe(
+                &labeled("suite_energy_mj", &[("suite", sid.key())]),
+                usage.energy_mj,
+            );
+        }
+        reg.meter("events_applied", total.events_applied as f64);
+        reg.meter("rekeys_executed", total.rekeys_executed as f64);
+        reg.meter("energy_mj", total.energy_mj);
+        if total.epoch == 0 {
+            reg.add("groups_created", 1);
+            return;
+        }
+        reg.add("epochs", 1);
+        reg.add("rekeys", total.rekeys_executed);
+        reg.add("rekeys_failed", total.rekeys_failed);
+        reg.add("steps_retried", total.steps_retried);
+        reg.add("nodes_died", total.nodes_died);
+        // Robustness counters appear only once an eviction fires, keeping
+        // eviction-free expositions bit-identical.
+        if total.members_evicted > 0 {
+            reg.add("members_evicted", total.members_evicted);
+            reg.add("blame_certs", total.blame_certs);
+        }
+        // Live-load gauges and epoch-windowed rates — all virtual /
+        // deterministic values, so same-seed runs render a byte-identical
+        // exposition.
+        for (i, shard) in self.shards.iter().enumerate() {
+            let idx = i.to_string();
+            reg.set_gauge(
+                &labeled("shard_groups", &[("shard", &idx)]),
+                shard.groups.len() as f64,
+            );
+            reg.set_gauge(
+                &labeled("shard_pending_events", &[("shard", &idx)]),
+                shard.pending.values().map(|q| q.len()).sum::<usize>() as f64,
+            );
+        }
+        reg.set_gauge("groups_active", self.metrics.groups_active as f64);
+        reg.roll_window();
     }
 
     /// The eviction planner's tick-top pass: consults the stall ledger
@@ -1675,20 +1666,18 @@ impl KeyService {
 
     /// Drains `MergeWith` events from every queue and executes them on the
     /// coordinator thread (merges are the one operation crossing shard
-    /// boundaries). Host groups are processed in ascending id order;
-    /// absorbed groups forward both their queued events and their pending
-    /// merge requests to their absorber. Folds that time out under the
-    /// fault plan are returned as deferred `(host, target)` requests; the
-    /// caller reinjects them after the shard phase so they retry next
-    /// tick.
-    fn resolve_merges(&mut self, epoch: u64) -> (EpochReport, Vec<(GroupId, GroupId)>) {
-        let mut report = EpochReport {
-            epoch,
-            ..EpochReport::default()
-        };
+    /// boundaries), booking each host's work — committed folds, aborted
+    /// attempts, rejections — as one part of `report` on the host's shard.
+    /// Host groups are processed in ascending id order; absorbed groups
+    /// forward both their queued events and their pending merge requests
+    /// to their absorber. Folds that time out under the fault plan are
+    /// returned as deferred `(host, target)` requests; the caller
+    /// reinjects them after the shard phase so they retry next tick.
+    fn resolve_merges(&mut self, epoch: u64, report: &mut EpochReport) -> Vec<(GroupId, GroupId)> {
         let mut deferred: Vec<(GroupId, GroupId)> = Vec::new();
         // Per-suite attribution of everything this coordinator phase
-        // charges (committed folds and aborted attempts alike).
+        // charges (committed folds and aborted attempts alike), priced once
+        // per suite at the end.
         let mut suite_ops: BTreeMap<SuiteId, OpCounts> = BTreeMap::new();
 
         // (host, target) pairs in deterministic order.
@@ -1705,14 +1694,13 @@ impl KeyService {
             }
         }
         if requests.is_empty() {
-            return (report, deferred);
+            return deferred;
         }
         requests.sort();
 
         // absorbed[g] = the group that now holds g's members.
-        let mut absorbed: std::collections::BTreeMap<GroupId, GroupId> =
-            std::collections::BTreeMap::new();
-        let resolve = |absorbed: &std::collections::BTreeMap<GroupId, GroupId>, mut g: GroupId| {
+        let mut absorbed: BTreeMap<GroupId, GroupId> = BTreeMap::new();
+        let resolve = |absorbed: &BTreeMap<GroupId, GroupId>, mut g: GroupId| {
             while let Some(&into) = absorbed.get(&g) {
                 g = into;
             }
@@ -1724,6 +1712,7 @@ impl KeyService {
         while i < requests.len() {
             let host = resolve(&absorbed, requests[i].0);
             let host_shard = self.shard_of(host);
+            let mut part = EpochReport::default();
             // Gather every request whose resolved host is `host` in this
             // contiguous run (requests are sorted by original host id).
             let mut targets: Vec<GroupId> = Vec::new();
@@ -1731,39 +1720,32 @@ impl KeyService {
             while i < requests.len() && requests[i].0 == first_host {
                 let raw_target = requests[i].1;
                 let target = resolve(&absorbed, raw_target);
-                let ev = MembershipEvent::MergeWith(raw_target);
-                if target == host {
-                    report.events_rejected += 1;
-                    self.health_shards[host_shard].events_rejected += 1;
-                    report.rejections.push((host, ev, RejectReason::SelfMerge));
+                let reason = if target == host {
+                    Some(RejectReason::SelfMerge)
                 } else if !self.group_exists(target) {
-                    report.events_rejected += 1;
-                    self.health_shards[host_shard].events_rejected += 1;
-                    report
-                        .rejections
-                        .push((host, ev, RejectReason::UnknownPeerGroup));
-                } else if !targets.contains(&target) {
-                    targets.push(target);
+                    Some(RejectReason::UnknownPeerGroup)
+                } else if targets.contains(&target) {
+                    Some(RejectReason::DuplicateMerge)
                 } else {
-                    report.events_rejected += 1;
-                    self.health_shards[host_shard].events_rejected += 1;
-                    report
-                        .rejections
-                        .push((host, ev, RejectReason::DuplicateMerge));
+                    targets.push(target);
+                    None
+                };
+                if let Some(reason) = reason {
+                    let ev = MembershipEvent::MergeWith(raw_target);
+                    part.rejections.push((host, ev, reason));
                 }
                 i += 1;
             }
             if !self.group_exists(host) {
-                report.events_rejected += targets.len() as u64;
-                self.health_shards[host_shard].events_rejected += targets.len() as u64;
-                report.rejections.extend(
+                part.rejections.extend(
                     targets
-                        .iter()
-                        .map(|&t| (host, MembershipEvent::MergeWith(t), RejectReason::GroupGone)),
+                        .drain(..)
+                        .map(|t| (host, MembershipEvent::MergeWith(t), RejectReason::GroupGone)),
                 );
-                continue;
             }
             if targets.is_empty() {
+                part.events_rejected = part.rejections.len() as u64;
+                self.book(host_shard, part, report);
                 continue;
             }
 
@@ -1777,14 +1759,8 @@ impl KeyService {
             let seed = mix(mix(self.config.seed, host), epoch ^ 0x6d65);
             let mut acc = self.shards[host_shard].groups[&host].session.clone();
             let mut acc_suite = self.shards[host_shard].groups[&host].suite;
-            report.groups_touched += 1;
-            let mut folds_done = 0u64;
+            part.groups_touched = 1;
             let mut virtual_ms = 0.0f64;
-            // Everything this host's folds charge — committed and aborted
-            // attempts alike — so the host's shard can be billed exactly.
-            let mut host_ops = OpCounts::new();
-            let mut host_stalled = false;
-            let host_retried_before = report.steps_retried;
             for (j, &t) in targets.iter().enumerate() {
                 // merge_many's fold seeds: `seed` for the first fold,
                 // `seed ^ (k << 8)` for session index k ≥ 2.
@@ -1798,7 +1774,7 @@ impl KeyService {
                 // baseline host's "merge" is a full re-run over the union,
                 // so a Cheapest policy gets to re-pick the suite for the
                 // merged size (migrating the group, as at any full rekey).
-                let fold_suite = if egka_core::suite::suite(acc_suite).native_dynamics() {
+                let fold_suite = if suite(acc_suite).native_dynamics() {
                     acc_suite
                 } else {
                     let merged = (acc.n() + target_session.n()) as u64;
@@ -1818,15 +1794,12 @@ impl KeyService {
                     None
                 };
                 let vms_before = virtual_ms;
-                let retried_before = report.steps_retried;
+                let mut fold = EpochReport::default();
                 let folded = self.fold_one_merge(
                     fold_suite,
-                    &acc,
-                    &target_session,
+                    [&acc, &target_session],
                     fold_seed,
-                    &mut report,
-                    suite_ops.entry(fold_suite).or_default(),
-                    &mut host_ops,
+                    &mut fold,
                     &mut virtual_ms,
                     fold_trace.as_ref(),
                 );
@@ -1839,7 +1812,7 @@ impl KeyService {
                             Payload::Step {
                                 suite: fold_suite.key(),
                                 step: j as u32,
-                                retries: (report.steps_retried - retried_before) as u32,
+                                retries: fold.steps_retried as u32,
                                 vms: virtual_ms - vms_before,
                                 bits: 0,
                                 mj: 0.0,
@@ -1848,116 +1821,89 @@ impl KeyService {
                     );
                     self.coord_ns = self.coord_ns.max(end);
                 }
-                match folded {
-                    Some(out) => {
-                        let fold_ops = suite_ops.entry(fold_suite).or_default();
-                        for r in &out.reports {
-                            report.ops.merge(&r.counts);
-                            fold_ops.merge(&r.counts);
-                            host_ops.merge(&r.counts);
-                        }
-                        report.full_gka_runs += out.gka_runs;
-                        report.per_suite.entry(fold_suite).or_default().rekeys += 1;
-                        acc = out.session;
-                        acc_suite = fold_suite;
-                        folds_done += 1;
-                        report.rekeys_executed += 1;
-                        report.events_applied += 1;
-                        self.health_shards[host_shard].rekeys_executed += 1;
-                        self.health_shards[host_shard].events_applied += 1;
-                        // The absorbed group's pending events forward to
-                        // the host.
-                        absorbed.insert(t, host);
-                        self.metrics.groups_merged_away += 1;
-                        let ts = self.shard_of(t);
-                        self.shards[ts].groups.remove(&t);
-                        self.directory.forget(t);
-                        self.last_moved.remove(&t);
-                        let forwarded = self.shards[ts].pending.remove(&t).unwrap_or_default();
-                        if !forwarded.is_empty() {
-                            self.shards[host_shard]
-                                .pending
-                                .entry(host)
-                                .or_default()
-                                .extend(forwarded);
-                        }
-                    }
-                    None => {
-                        // This fold (and, with the host ring unchanged,
-                        // every later one) cannot complete now; defer the
-                        // unserved requests past this tick's shard phase.
-                        report.rekeys_failed += 1;
-                        report.groups_stalled += 1;
-                        self.health_shards[host_shard].rekeys_failed += 1;
-                        self.health_shards[host_shard].groups_stalled += 1;
-                        // Attribute the stall exactly as the shard
-                        // scheduler would: unreachable members of either
-                        // ring are the culprits; none means pure loss.
-                        let mut culprits: Vec<UserId> = acc
-                            .member_ids()
-                            .iter()
-                            .chain(target_session.member_ids().iter())
-                            .copied()
-                            .filter(|u| {
-                                self.detached.contains(u)
-                                    || self.bank.as_ref().is_some_and(|b| b.is_dead(u.0))
-                            })
-                            .collect();
-                        culprits.sort_unstable();
-                        culprits.dedup();
-                        let cause = if culprits.is_empty() {
-                            StallCause::Loss
-                        } else if self.detached.is_empty() {
-                            StallCause::BatteryDead
-                        } else {
-                            StallCause::Detached
-                        };
-                        report.stall_events.push(StallEvent {
-                            group: host,
-                            cause,
-                            culprits,
-                        });
-                        host_stalled = true;
-                        deferred.extend(targets[j..].iter().map(|&rem| (host, rem)));
-                        break;
-                    }
+                suite_ops.entry(fold_suite).or_default().merge(&fold.ops);
+                part.absorb(fold);
+                let Some(session) = folded else {
+                    // This fold (and, with the host ring unchanged, every
+                    // later one) cannot complete now; defer the unserved
+                    // requests past this tick's shard phase. Attribute the
+                    // stall exactly as the shard scheduler would:
+                    // unreachable members of either ring are the culprits;
+                    // none means pure loss.
+                    let mut culprits: Vec<UserId> = acc
+                        .member_ids()
+                        .iter()
+                        .chain(target_session.member_ids().iter())
+                        .copied()
+                        .filter(|&u| self.unreachable(u))
+                        .collect();
+                    culprits.sort_unstable();
+                    culprits.dedup();
+                    let cause = if culprits.is_empty() {
+                        StallCause::Loss
+                    } else if self.detached.is_empty() {
+                        StallCause::BatteryDead
+                    } else {
+                        StallCause::Detached
+                    };
+                    part.stall_events.push(StallEvent {
+                        group: host,
+                        cause,
+                        culprits,
+                    });
+                    deferred.extend(targets[j..].iter().map(|&rem| (host, rem)));
+                    break;
+                };
+                acc = session;
+                acc_suite = fold_suite;
+                // The absorbed group's pending events forward to the
+                // host.
+                absorbed.insert(t, host);
+                self.metrics.groups_merged_away += 1;
+                let ts = self.shard_of(t);
+                self.shards[ts].groups.remove(&t);
+                self.directory.forget(t);
+                self.last_moved.remove(&t);
+                let forwarded = self.shards[ts].pending.remove(&t).unwrap_or_default();
+                if !forwarded.is_empty() {
+                    self.shards[host_shard]
+                        .pending
+                        .entry(host)
+                        .or_default()
+                        .extend(forwarded);
                 }
             }
-            if folds_done > 0 {
+            // Every committed fold counted one rekey.
+            if part.rekeys_executed > 0 {
                 let state = self.shards[host_shard]
                     .groups
                     .get_mut(&host)
                     .expect("host exists");
                 state.session = acc;
                 state.suite = acc_suite;
-                state.rekeys += folds_done;
-                if !host_stalled {
-                    report.rekeyed_groups.push(host);
+                state.rekeys += part.rekeys_executed;
+                if part.groups_stalled == 0 {
+                    part.rekeyed_groups.push(host);
                 }
-                report.rekey_latencies.push(started.elapsed());
+                part.rekey_latencies.push(started.elapsed());
                 if self.config.radio.is_some() {
-                    report.rekey_latencies_virtual_ms.push(virtual_ms);
-                    self.health_shards[host_shard]
-                        .latency_virtual
-                        .observe(virtual_ms);
+                    part.rekey_latencies_virtual_ms.push(virtual_ms);
                 }
             }
             // Bill the host's shard for this coordinator work — committed
             // folds and aborted attempts alike. Pricing per host (instead
             // of one `price_mj` over the phase total) is exact up to f64
             // association order: `price_mj` is linear in the counts.
-            let host_mj = self.config.cost.price_mj(&host_ops);
-            report.energy_mj += host_mj;
-            self.health_shards[host_shard].energy_mj += host_mj;
-            self.health_shards[host_shard].steps_retried +=
-                report.steps_retried - host_retried_before;
+            part.energy_mj = self.config.cost.price_mj(&part.ops);
+            part.traffic = traffic_of(&part.ops);
+            part.events_rejected = part.rejections.len() as u64;
+            self.book(host_shard, part, report);
         }
         for (suite_id, ops) in &suite_ops {
             report.per_suite.entry(*suite_id).or_default().energy_mj +=
                 self.config.cost.price_mj(ops);
         }
-        add_traffic(&mut report.traffic, &traffic_of(&report.ops));
-        (report, deferred)
+        deferred
     }
 
     /// The per-tick radio context (profile + shared bank), if configured.
@@ -1968,32 +1914,33 @@ impl KeyService {
         })
     }
 
-    /// Attempts one pairwise merge fold under the service fault plan — as
-    /// `fold_suite`'s [`egka_core::Suite::merge_groups`] realization —
-    /// retrying loss stalls with fresh randomness. `None` means the fold
-    /// timed out (its wasted transmissions are already charged, into
-    /// `report.ops`, `fold_ops` and `host_ops`). `virtual_ms` accumulates
-    /// the fold's radio time, aborted attempts included.
-    #[allow(clippy::too_many_arguments)] // one accumulator per ledger, by design
+    /// Whether `member` cannot take part in a protocol run: detached, or
+    /// its battery is dead.
+    fn unreachable(&self, member: UserId) -> bool {
+        self.detached.contains(&member) || self.bank.as_ref().is_some_and(|b| b.is_dead(member.0))
+    }
+
+    /// Attempts one pairwise merge fold of `rings` under the service fault
+    /// plan — as `fold_suite`'s [`egka_core::Suite::merge_groups`]
+    /// realization — retrying loss stalls with fresh randomness, and books
+    /// the attempt into `fold`: every charged count (aborted attempts
+    /// included), the retries, and either the committed rekey or the
+    /// timed-out step. `virtual_ms` accumulates the fold's radio time,
+    /// aborted attempts included. Returns the merged session, or `None`
+    /// when the fold timed out.
     fn fold_one_merge(
         &self,
         fold_suite: SuiteId,
-        acc: &GroupSession,
-        target: &GroupSession,
+        rings: [&GroupSession; 2],
         fold_seed: u64,
-        report: &mut EpochReport,
-        fold_ops: &mut OpCounts,
-        host_ops: &mut OpCounts,
+        fold: &mut EpochReport,
         virtual_ms: &mut f64,
         trace: Option<&StepTrace>,
-    ) -> Option<SuiteOutcome> {
-        let involves_detached = acc
-            .member_ids()
+    ) -> Option<GroupSession> {
+        let involves_detached = rings
             .iter()
-            .chain(target.member_ids().iter())
-            .any(|u| {
-                self.detached.contains(u) || self.bank.as_ref().is_some_and(|b| b.is_dead(u.0))
-            });
+            .flat_map(|r| r.member_ids())
+            .any(|u| self.unreachable(u));
         let mut retry = 0u32;
         loop {
             let salted = if retry == 0 {
@@ -2018,26 +1965,34 @@ impl KeyService {
                 composable_joins: self.config.cost.composable_joins,
                 faults_for: &faults_for,
             };
-            let mut run = suite(fold_suite).merge_groups(&ctx, acc, target);
+            let mut run = suite(fold_suite).merge_groups(&ctx, rings[0], rings[1]);
             loop {
                 match run.pump() {
                     Pump::Done => {
                         *virtual_ms += run.virtual_elapsed_ms();
-                        return Some(run.finish());
+                        let out = run.finish();
+                        for r in &out.reports {
+                            fold.ops.merge(&r.counts);
+                        }
+                        fold.full_gka_runs += out.gka_runs;
+                        fold.per_suite.entry(fold_suite).or_default().rekeys += 1;
+                        fold.rekeys_executed += 1;
+                        fold.events_applied += 1;
+                        return Some(out.session);
                     }
                     Pump::Progressed => {}
                     Pump::Stalled | Pump::Failed(_) => break,
                 }
             }
-            report.ops.merge(&run.partial_counts());
-            fold_ops.merge(&run.partial_counts());
-            host_ops.merge(&run.partial_counts());
+            fold.ops.merge(&run.partial_counts());
             *virtual_ms += run.virtual_elapsed_ms();
             if involves_detached || retry >= self.config.step_retries {
+                fold.rekeys_failed += 1;
+                fold.groups_stalled += 1;
                 return None;
             }
             retry += 1;
-            report.steps_retried += 1;
+            fold.steps_retried += 1;
         }
     }
 

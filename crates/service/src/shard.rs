@@ -33,7 +33,7 @@ use egka_trace::{Event, Payload, Phase, StallCause, StepTrace, CONTROL_TID, EPOC
 
 use crate::event::{GroupId, MembershipEvent, RejectReason};
 use crate::health::StallEvent;
-use crate::metrics::{add_traffic, traffic_of, EpochReport};
+use crate::metrics::{traffic_of, EpochReport};
 use crate::plan::{plan_group_suite, CostModel, RekeyPlan, RekeyStep, SuitePolicy};
 
 /// One managed group.
@@ -181,7 +181,6 @@ impl Shard {
         for (gid, events) in queues {
             let Some(state) = self.groups.get(&gid) else {
                 // Group dissolved/merged away after the events were queued.
-                report.events_rejected += events.len() as u64;
                 report.rejections.extend(
                     events
                         .into_iter()
@@ -294,6 +293,13 @@ impl Shard {
             }
             let usage = report.per_suite.entry(g.plan.suite).or_default();
             usage.energy_mj += step_energy_mj;
+            if !g.failed {
+                usage.rekeys += g.rekeys;
+            }
+            // A failed epoch's wasted transmissions and computations are
+            // real energy; charge them even though no key changed.
+            report.ops.merge(&g.ops);
+            report.energy_mj += step_energy_mj;
             report.phases.execute.virtual_ms += g.virtual_ms;
             if g.failed {
                 // Atomic epoch: the group keeps its pre-epoch session and
@@ -304,20 +310,11 @@ impl Shard {
                 let mut requeued = g.original_events;
                 requeued.append(queue);
                 *queue = requeued;
-                // The wasted transmissions and computations are real
-                // energy; charge them even though no key changed.
-                report.ops.merge(&g.ops);
-                add_traffic(&mut report.traffic, &traffic_of(&g.ops));
-                report.energy_mj += step_energy_mj;
                 continue;
             }
-            usage.rekeys += g.rekeys;
             fold_plan_accounting(&mut report, g.gid, &g.plan);
             report.rekeys_executed += g.rekeys;
             report.full_gka_runs += g.gka_runs;
-            report.ops.merge(&g.ops);
-            add_traffic(&mut report.traffic, &traffic_of(&g.ops));
-            report.energy_mj += step_energy_mj;
             if g.dissolved {
                 self.groups.remove(&g.gid);
                 report.groups_dissolved += 1;
@@ -345,6 +342,8 @@ impl Shard {
                 ),
             );
         }
+        report.events_rejected = report.rejections.len() as u64;
+        report.traffic = traffic_of(&report.ops);
         report.phases.commit.wall += commit_started.elapsed();
         self.scratch = report;
         self.scratch_trace = tr;
@@ -465,8 +464,8 @@ impl Shard {
                 let aborted = g.runner.take().expect("pumped");
                 g.ops.merge(&aborted.partial_counts());
                 g.virtual_ms += aborted.virtual_elapsed_ms();
-                let detached_member = group_touches_detached(g, ctx);
-                let cause = if !detached_member {
+                let culprits = down_members(g, ctx);
+                let cause = if culprits.is_empty() {
                     StallCause::Loss
                 } else if ctx.detached.is_empty() {
                     StallCause::BatteryDead
@@ -480,7 +479,7 @@ impl Shard {
                             .with(Payload::Stall { cause }),
                     );
                 }
-                if !detached_member && g.retries < ctx.step_retries {
+                if culprits.is_empty() && g.retries < ctx.step_retries {
                     g.retries += 1;
                     report.steps_retried += 1;
                     // Runner rebuilds with a salted seed next quantum.
@@ -495,7 +494,7 @@ impl Shard {
                     report.stall_events.push(StallEvent {
                         group: g.gid,
                         cause,
-                        culprits: down_members(g, ctx),
+                        culprits,
                     });
                     g.failed = true;
                     g.done = true;
@@ -547,27 +546,11 @@ fn step_name(step: &RekeyStep) -> &'static str {
     }
 }
 
-/// Whether any member this epoch touches (survivors or arrivals) is
-/// unreachable — explicitly detached or battery-dead. Such a group cannot
-/// succeed by retrying, so it fails fast instead of burning the
-/// retransmission budget.
-fn group_touches_detached(g: &ActiveGroup, ctx: &EpochCtx<'_>) -> bool {
-    if ctx.detached.is_empty() && ctx.radio.is_none() {
-        return false;
-    }
-    let in_session = g.session.member_ids().iter().any(|&u| ctx.is_down(u));
-    let in_plan = g.plan.steps.iter().any(|s| match s {
-        RekeyStep::JoinOne { newcomer } => ctx.is_down(*newcomer),
-        RekeyStep::MergeNewcomers { newcomers } => newcomers.iter().any(|&u| ctx.is_down(u)),
-        RekeyStep::FullRekey { members } => members.iter().any(|&u| ctx.is_down(u)),
-        RekeyStep::Partition { .. } | RekeyStep::Dissolve => false,
-    });
-    in_session || in_plan
-}
-
 /// The unreachable members a group's epoch needed — the stall ledger's
 /// culprit list. Session members plus the plan's arrivals, filtered to the
-/// down set, ascending and deduplicated; empty under pure loss.
+/// down set, ascending and deduplicated; empty under pure loss. A group
+/// with a culprit cannot succeed by retrying, so it fails fast instead of
+/// burning the retransmission budget.
 fn down_members(g: &ActiveGroup, ctx: &EpochCtx<'_>) -> Vec<UserId> {
     let mut down: Vec<UserId> = g
         .session
@@ -629,11 +612,11 @@ fn build_step(
 }
 
 /// Commits a plan's admission accounting (applied / cancelled / rejected)
-/// into the epoch report.
+/// into the epoch report (`events_rejected` is counted from `rejections`
+/// when the epoch closes).
 fn fold_plan_accounting(report: &mut EpochReport, gid: GroupId, plan: &RekeyPlan) {
     report.events_applied += plan.events_applied;
     report.events_cancelled += plan.events_cancelled;
-    report.events_rejected += plan.rejected.len() as u64;
     report.rejections.extend(
         plan.rejected
             .iter()
