@@ -1,6 +1,6 @@
-//! Primitive micro-bench: old-vs-new timings for the fixed-base and batch
-//! accelerations, measured **in one binary** so the ratios cannot drift
-//! with toolchains or machines.
+//! Primitive micro-bench: old-vs-new timings for the fixed-base, batch and
+//! caching accelerations, measured **in one binary** so the ratios cannot
+//! drift with toolchains or machines.
 //!
 //! ```text
 //! cargo run --release -p egka-bench --bin bench_primitives
@@ -19,9 +19,13 @@
 //!   q-sized exponents under a Schnorr modulus — the BD/DSA shape.
 //! * **Fixed-argument pairing** — full Miller loop vs
 //!   [`PairingGroup::pairing_fixed`] over a cached [`egka_ec::MillerPrecomp`].
+//! * **Named-curve cache** — a fresh [`Curve::new`] from secp160r1's own
+//!   parameters plus its first [`Curve::mul_gen`] (generator validation,
+//!   comb build, one comb evaluation) vs [`secp160r1`] plus a `mul_gen`
+//!   (a clone of the process-wide curve whose comb is already built).
 //! * **Epoch batch verification** — per-item `verify` loops vs the
-//!   `egka-sig` batch entry points (ECDSA RLC chunks, DSA amortized loop,
-//!   GQ split-form RLC).
+//!   `egka-sig` batch entry points (DSA amortized loop, GQ split-form
+//!   RLC).
 //! * **GQ ring verification** — one rekey's eq. (2) checks on a 35-member
 //!   ring at the paper fixture: every member running the composed
 //!   [`GqParams::aggregate_verify`] vs one shared
@@ -30,9 +34,10 @@
 //!
 //! The artifact (`BENCH_primitives.json`, schema `egka-primitives/1`)
 //! carries each pair as `*_ns` plus a `*_speedup` ratio; `bench_diff`
-//! holds `fixed_base_mul_speedup`, `fixed_base_modexp_speedup` and
-//! `gq_ring_verify_speedup` above an absolute floor (2×) in CI. `--check-determinism` regenerates every
-//! workload from the seed and asserts the result fingerprint reproduces.
+//! holds `fixed_base_mul_speedup`, `fixed_base_modexp_speedup`,
+//! `named_curve_speedup` and `gq_ring_verify_speedup` above an absolute
+//! floor (2×) in CI. `--check-determinism` regenerates every workload from
+//! the seed and asserts the result fingerprint reproduces.
 
 use std::time::Instant;
 
@@ -45,8 +50,8 @@ use egka_core::paper_fixture;
 use egka_ec::{secp160r1, Curve, PairingGroup, Point};
 use egka_hash::ChaChaRng;
 use egka_sig::{
-    dsa_batch_verify, ecdsa_batch_verify, gq_batch_verify_split, Dsa, DsaBatchItem, DsaSignature,
-    Ecdsa, EcdsaBatchItem, EcdsaSignature, GqParams, GqPkg, GqSplitItem,
+    dsa_batch_verify, gq_batch_verify_split, Dsa, DsaBatchItem, DsaSignature, GqParams, GqPkg,
+    GqSplitItem,
 };
 use rand::SeedableRng;
 
@@ -122,6 +127,56 @@ fn bench_ec(seed: u64, fp: &mut Fnv) -> Pair {
     Pair { old_ns, new_ns }
 }
 
+// -------------------------------------------------------- named-curve cache
+
+/// A secp160r1 built from scratch: generator validation plus an empty comb.
+fn fresh_secp160r1(named: &Curve) -> Curve {
+    Curve::new(
+        named.name,
+        named.field().clone(),
+        named.a().clone(),
+        named.b().clone(),
+        named.order().clone(),
+        named.cofactor().clone(),
+        named.generator().clone(),
+    )
+}
+
+fn named_curve_workload(seed: u64, fp: &mut Fnv) -> Vec<Ubig> {
+    let named = secp160r1();
+    let mut rng = ChaChaRng::seed_from_u64(seed ^ 0xc0e);
+    let scalars: Vec<Ubig> = (0..8).map(|_| named.random_scalar(&mut rng)).collect();
+    for k in &scalars {
+        let p = named.mul_gen(k);
+        assert_eq!(
+            fresh_secp160r1(&named).mul_gen(k),
+            p,
+            "fresh curve disagrees"
+        );
+        fp.push(&named.compress(&p));
+    }
+    scalars
+}
+
+fn bench_named_curve(seed: u64, fp: &mut Fnv) -> Pair {
+    let scalars = named_curve_workload(seed, fp);
+    let named = secp160r1();
+    let mut i = 0usize;
+    // The per-caller shape: every provisioning built and validated its own
+    // curve, then paid the comb on its first generator multiple.
+    let old_ns = per_op_ns(16, || {
+        let curve = fresh_secp160r1(&named);
+        std::hint::black_box(curve.mul_gen(&scalars[i % scalars.len()]));
+        i += 1;
+    });
+    let new_ns = per_op_ns(16, || {
+        let curve = secp160r1();
+        std::hint::black_box(curve.mul_gen(&scalars[i % scalars.len()]));
+        i += 1;
+    });
+    Pair { old_ns, new_ns }
+}
+
 // --------------------------------------------------------- fixed-base modexp
 
 fn modexp_workload(seed: u64, group: &SchnorrGroup, fp: &mut Fnv) -> Vec<Ubig> {
@@ -180,37 +235,6 @@ fn bench_pairing(seed: u64, fp: &mut Fnv) -> Pair {
 }
 
 // ------------------------------------------------------------ batch verify
-
-fn bench_ecdsa_batch(seed: u64, fp: &mut Fnv) -> Pair {
-    let scheme = Ecdsa::new(secp160r1());
-    let mut rng = ChaChaRng::seed_from_u64(seed ^ 0xba7c);
-    let triples: Vec<(Point, Vec<u8>, EcdsaSignature)> = (0..16)
-        .map(|i| {
-            let kp = scheme.keygen(&mut rng);
-            let msg = format!("epoch share {i}").into_bytes();
-            let sig = scheme.sign(&mut rng, &kp, &msg);
-            (kp.q, msg, sig)
-        })
-        .collect();
-    let items: Vec<EcdsaBatchItem<'_>> = triples
-        .iter()
-        .map(|(q, msg, sig)| EcdsaBatchItem { q, msg, sig })
-        .collect();
-    assert_eq!(ecdsa_batch_verify(&scheme, &items), Ok(()));
-    for (_, _, sig) in &triples {
-        fp.push(&sig.r.to_bytes_be());
-    }
-    let n = items.len() as f64;
-    let old_ns = per_op_ns(8, || {
-        for it in &items {
-            assert!(scheme.verify(it.q, it.msg, it.sig));
-        }
-    }) / n;
-    let new_ns = per_op_ns(8, || {
-        ecdsa_batch_verify(&scheme, &items).unwrap();
-    }) / n;
-    Pair { old_ns, new_ns }
-}
 
 fn bench_dsa_batch(seed: u64, group: &SchnorrGroup, fp: &mut Fnv) -> Pair {
     let scheme = Dsa::new(group.clone());
@@ -351,12 +375,12 @@ fn main() {
     let mut fp = Fnv::new();
     let ec = bench_ec(seed, &mut fp);
     ec.print("fixed_base_mul");
+    let named = bench_named_curve(seed, &mut fp);
+    named.print("named_curve");
     let modexp = bench_modexp(seed, &group, &mut fp);
     modexp.print("fixed_base_modexp");
     let pairing = bench_pairing(seed, &mut fp);
     pairing.print("pairing_fixed");
-    let ecdsa = bench_ecdsa_batch(seed, &mut fp);
-    ecdsa.print("ecdsa_batch (per item)");
     let dsa = bench_dsa_batch(seed, &group, &mut fp);
     dsa.print("dsa_batch (per item)");
     let gq = bench_gq_batch(seed, &mut fp);
@@ -371,9 +395,9 @@ fn main() {
         let mut again = Fnv::new();
         let curve = secp160r1();
         ec_workload(seed, &curve, &mut again);
+        named_curve_workload(seed, &mut again);
         modexp_workload(seed, &group, &mut again);
         bench_pairing(seed, &mut again);
-        bench_ecdsa_batch(seed, &mut again);
         bench_dsa_batch(seed, &group, &mut again);
         bench_gq_batch(seed, &mut again);
         gq_ring_workload(seed, &mut again);
@@ -395,15 +419,15 @@ fn main() {
          \"variable_base_mul_ns\": {:.0},\n  \
          \"fixed_base_mul_ns\": {:.0},\n  \
          \"fixed_base_mul_speedup\": {:.3},\n  \
+         \"fresh_curve_mul_gen_ns\": {:.0},\n  \
+         \"named_curve_mul_gen_ns\": {:.0},\n  \
+         \"named_curve_speedup\": {:.3},\n  \
          \"plain_modexp_ns\": {:.0},\n  \
          \"fixed_base_modexp_ns\": {:.0},\n  \
          \"fixed_base_modexp_speedup\": {:.3},\n  \
          \"pairing_ns\": {:.0},\n  \
          \"pairing_fixed_ns\": {:.0},\n  \
          \"pairing_fixed_speedup\": {:.3},\n  \
-         \"ecdsa_verify_ns\": {:.0},\n  \
-         \"ecdsa_batch_item_ns\": {:.0},\n  \
-         \"ecdsa_batch_speedup\": {:.3},\n  \
          \"dsa_verify_ns\": {:.0},\n  \
          \"dsa_batch_item_ns\": {:.0},\n  \
          \"gq_verify_ns\": {:.0},\n  \
@@ -416,15 +440,15 @@ fn main() {
         ec.old_ns,
         ec.new_ns,
         ec.speedup(),
+        named.old_ns,
+        named.new_ns,
+        named.speedup(),
         modexp.old_ns,
         modexp.new_ns,
         modexp.speedup(),
         pairing.old_ns,
         pairing.new_ns,
         pairing.speedup(),
-        ecdsa.old_ns,
-        ecdsa.new_ns,
-        ecdsa.speedup(),
         dsa.old_ns,
         dsa.new_ns,
         gq.old_ns,

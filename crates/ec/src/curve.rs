@@ -1,14 +1,26 @@
 //! Short-Weierstrass elliptic curves `y² = x³ + a·x + b` over a prime field.
 //!
-//! Points are exposed in affine coordinates ([`Point`]); scalar
-//! multiplication internally uses Jacobian projective coordinates with a
-//! width-4 wNAF window, which is where essentially all curve time is spent
-//! (ECDSA and SOK signing/verifying).
+//! Points are exposed in affine `Ubig` coordinates ([`Point`]); the affine
+//! group law ([`Curve::add`], [`Curve::double`]), membership and SEC1
+//! compression run on the public [`Fp`]. Scalar multiplication, where
+//! essentially all curve time is spent (ECDSA and SOK signing/verifying,
+//! subgroup checks), runs on the crate-private fixed-width Montgomery field
+//! instead, converting to and from `Ubig` only at the `Point` boundary:
+//!
+//! * Jacobian coordinates with mixed (Jacobian + affine) additions;
+//! * width-`w` wNAF digits recoded straight from the scalar's limbs;
+//! * odd-multiples tables built in Jacobian form and normalised with one
+//!   batched inversion (Montgomery's trick) per call;
+//! * for the generator, a Lim–Lee comb ([`Curve::mul_gen`]) and a wide wNAF
+//!   table ([`Curve::mul_multi`]'s generator term), built once and shared
+//!   by every clone of the curve.
+
+use std::sync::{Arc, OnceLock};
 
 use egka_bigint::Ubig;
 use rand::Rng;
 
-use crate::field::Fp;
+use crate::field::{is_zero, Fp, Limbs, MontField, MAX_LIMBS};
 
 /// An affine curve point, or the point at infinity.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,13 +56,35 @@ impl Point {
     }
 }
 
-/// Jacobian coordinates `(X : Y : Z)` representing `(X/Z², Y/Z³)`.
-#[derive(Clone, Debug)]
-struct Jacobian {
-    x: Ubig,
-    y: Ubig,
-    z: Ubig, // zero ⇔ infinity
+/// A finite affine point in Montgomery form.
+#[derive(Clone, Copy, Debug)]
+struct Aff {
+    x: Limbs,
+    y: Limbs,
 }
+
+/// Jacobian coordinates `(X : Y : Z)` representing `(X/Z², Y/Z³)`, in
+/// Montgomery form; `Z = 0` is the point at infinity.
+#[derive(Clone, Copy)]
+struct Jac {
+    x: Limbs,
+    y: Limbs,
+    z: Limbs,
+}
+
+const INFINITY: Jac = Jac {
+    x: [0; MAX_LIMBS],
+    y: [0; MAX_LIMBS],
+    z: [0; MAX_LIMBS],
+};
+
+/// wNAF width for a variable point: digits odd in `(−8, 8)`, so the table
+/// is `P, 3P, 5P, 7P`.
+const VAR_W: u32 = 4;
+
+/// wNAF width for the generator's cached table `G, 3G, …, 63G`: built once
+/// per curve, so a wider window only saves additions.
+const GEN_W: u32 = 7;
 
 /// A short-Weierstrass curve with a distinguished prime-order subgroup.
 #[derive(Clone, Debug)]
@@ -67,76 +101,96 @@ pub struct Curve {
     gen: Point,
     /// True when `a ≡ -3 (mod p)`, enabling the faster doubling formula.
     a_is_minus_3: bool,
-    /// Lazily built fixed-base comb for `gen`; clones share it (`Arc`).
-    gen_comb: std::sync::Arc<std::sync::OnceLock<GenComb>>,
+    /// The scalar-multiplication state; clones share it (`Arc`).
+    mont: Arc<MontCurve>,
 }
 
-/// Lim–Lee comb for the generator: the scalar (up to `order` bits) is
-/// viewed as [`GenComb::TEETH`] rows of `cols` bits, and
-/// `table[t - 1] = (Σ_{j ∈ t} 2^{j·cols}) · G` for every non-empty tooth
-/// subset `t`. Evaluation is `cols` doublings + at most `cols` mixed
-/// additions — roughly `TEETH`× fewer doublings than a wNAF walk.
+/// What scalar multiplication needs beyond the public parameters: the
+/// field in fixed-width Montgomery form, `a` in that form, and the lazily
+/// built generator tables.
 #[derive(Debug)]
-struct GenComb {
-    cols: u32,
-    /// `2^TEETH − 1` subset sums, affine (entries may be `∞` on tiny
-    /// curves where subset sums cancel; evaluation skips those).
-    table: Vec<Point>,
+struct MontCurve {
+    field: MontField,
+    a: Limbs,
+    gen_tables: OnceLock<GenTables>,
 }
 
-impl GenComb {
+/// Precomputed affine multiples of the generator, in Montgomery form.
+///
+/// * A Lim–Lee comb for [`Curve::mul_gen`]: the scalar (up to `order`
+///   bits) is viewed as [`GenTables::TEETH`] rows of `cols` bits, and
+///   `comb[t − 1] = (Σ_{j ∈ t} 2^{j·cols}) · G` for every non-empty tooth
+///   subset `t`. Evaluation is `cols` doublings + at most `cols` mixed
+///   additions — roughly `TEETH`× fewer doublings than a wNAF walk.
+/// * The odd multiples `G, 3G, …` of a width-[`GEN_W`] wNAF, used for the
+///   generator term of [`Curve::mul_multi`] (ECDSA's `u1·G`), so a
+///   verification builds only the public key's table.
+///
+/// Entries are `None` where a multiple is `∞` (tiny curves).
+#[derive(Debug)]
+struct GenTables {
+    cols: u32,
+    comb: Vec<Option<Aff>>,
+    odd: Vec<Option<Aff>>,
+}
+
+impl GenTables {
     const TEETH: u32 = 8;
 
+    /// Builds both tables in Jacobian form and normalises them with one
+    /// inversion.
     fn new(curve: &Curve) -> Self {
+        let g = curve.to_jac(&curve.gen);
         let bits = curve.order.bit_length().max(1);
         let cols = bits.div_ceil(Self::TEETH);
         // powers[j] = 2^(j·cols) · G
         let mut powers = Vec::with_capacity(Self::TEETH as usize);
-        powers.push(curve.gen.clone());
+        powers.push(g);
         for j in 1..Self::TEETH as usize {
-            let mut p = powers[j - 1].clone();
+            let mut p = powers[j - 1];
             for _ in 0..cols {
-                p = curve.double(&p);
+                p = curve.jac_double(&p);
             }
             powers.push(p);
         }
-        // Subset sums, each built from a smaller subset with one addition.
-        let mut table = Vec::with_capacity((1usize << Self::TEETH) - 1);
-        for t in 1usize..(1 << Self::TEETH) {
+        // Subset sums, each built from a smaller subset with one addition,
+        // followed by the odd multiples.
+        let comb_len = (1usize << Self::TEETH) - 1;
+        let mut jac = Vec::with_capacity(comb_len + (1 << (GEN_W - 2)));
+        for t in 1..=comb_len {
             let low = t.trailing_zeros() as usize;
             let rest = t & (t - 1);
             let entry = if rest == 0 {
-                powers[low].clone()
+                powers[low]
             } else {
-                curve.add(&table[rest - 1], &powers[low])
+                curve.jac_add(&jac[rest - 1], &powers[low])
             };
-            table.push(entry);
+            jac.push(entry);
         }
-        GenComb { cols, table }
+        curve.push_odd_multiples(&g, GEN_W, &mut jac);
+        let mut comb = curve.batch_to_affine(&jac);
+        let odd = comb.split_off(comb_len);
+        GenTables { cols, comb, odd }
     }
 
-    /// `k · G` for `k` already reduced below the subgroup order.
-    fn eval(&self, curve: &Curve, k: &Ubig) -> Point {
-        let mut acc = Jacobian {
-            x: Ubig::one(),
-            y: Ubig::one(),
-            z: Ubig::zero(),
-        };
+    /// `k · G` for `k` (little-endian limbs) below `2^(TEETH·cols)`.
+    fn eval(&self, curve: &Curve, k: &[u64]) -> Jac {
+        let mut acc = INFINITY;
         for col in (0..self.cols).rev() {
             acc = curve.jac_double(&acc);
             let mut t = 0usize;
             for j in 0..Self::TEETH {
-                if k.bit(j * self.cols + col) {
+                if bit(k, j * self.cols + col) {
                     t |= 1 << j;
                 }
             }
             if t != 0 {
-                if let Point::Affine { x, y } = &self.table[t - 1] {
-                    acc = curve.jac_add_affine(&acc, x, y);
+                if let Some(q) = &self.comb[t - 1] {
+                    acc = curve.jac_add_affine(&acc, q, false);
                 }
             }
         }
-        curve.to_affine(&acc)
+        acc
     }
 }
 
@@ -145,7 +199,8 @@ impl Curve {
     /// have the claimed order.
     ///
     /// # Panics
-    /// Panics if the generator is off-curve or `order · gen ≠ ∞`.
+    /// Panics if `p ≥ 2^256`, the generator is off-curve or
+    /// `order · gen ≠ ∞`.
     pub fn new(
         name: &'static str,
         field: Fp,
@@ -155,9 +210,19 @@ impl Curve {
         cofactor: Ubig,
         gen: Point,
     ) -> Self {
+        assert!(
+            field.bits() <= 64 * MAX_LIMBS as u32,
+            "{name}: scalar multiplication needs p < 2^256"
+        );
         let a = field.reduce(&a);
         let b = field.reduce(&b);
         let a_is_minus_3 = field.add(&a, &Ubig::from_u64(3)).is_zero();
+        let mont_field = MontField::new(field.modulus());
+        let mont = Arc::new(MontCurve {
+            a: mont_field.to_mont(&a),
+            field: mont_field,
+            gen_tables: OnceLock::new(),
+        });
         let c = Curve {
             name,
             field,
@@ -167,13 +232,13 @@ impl Curve {
             cofactor,
             gen: Point::Infinity,
             a_is_minus_3,
-            gen_comb: std::sync::Arc::new(std::sync::OnceLock::new()),
+            mont,
         };
         assert!(c.is_on_curve(&gen), "{name}: generator not on curve");
         let mut c = c;
         c.gen = gen;
         assert!(
-            c.mul_raw(&c.order.clone(), &c.gen.clone()).is_infinity(),
+            c.mul_raw(&c.order, &c.gen).is_infinity(),
             "{name}: generator order mismatch"
         );
         c
@@ -278,32 +343,74 @@ impl Curve {
         Point::Affine { x: x3, y: y3 }
     }
 
-    // ----- Jacobian internals -----
+    // ----- Montgomery-form internals -----
 
-    fn to_affine(&self, p: &Jacobian) -> Point {
-        if p.z.is_zero() {
+    /// `Point` → Jacobian (`Z = 1`).
+    fn to_jac(&self, p: &Point) -> Jac {
+        match p {
+            Point::Infinity => INFINITY,
+            Point::Affine { x, y } => Jac {
+                x: self.mont.field.to_mont(x),
+                y: self.mont.field.to_mont(y),
+                z: self.mont.field.one(),
+            },
+        }
+    }
+
+    /// Jacobian → `Point` (one inversion).
+    fn to_point(&self, p: &Jac) -> Point {
+        if is_zero(&p.z) {
             return Point::Infinity;
         }
-        let f = &self.field;
-        let zinv = f.inv(&p.z).expect("non-zero z");
+        let f = &self.mont.field;
+        let zinv = f.inv(&p.z);
         let zinv2 = f.sqr(&zinv);
         let zinv3 = f.mul(&zinv2, &zinv);
         Point::Affine {
-            x: f.mul(&p.x, &zinv2),
-            y: f.mul(&p.y, &zinv3),
+            x: f.to_ubig(&f.mul(&p.x, &zinv2)),
+            y: f.to_ubig(&f.mul(&p.y, &zinv3)),
         }
+    }
+
+    /// Normalises Jacobian points to affine with a single inversion
+    /// (Montgomery's trick); `∞` entries map to `None`.
+    fn batch_to_affine(&self, pts: &[Jac]) -> Vec<Option<Aff>> {
+        if pts.is_empty() {
+            return Vec::new();
+        }
+        let f = &self.mont.field;
+        // prefix[i] = product of the finite z's before entry i.
+        let mut prefix = Vec::with_capacity(pts.len());
+        let mut acc = f.one();
+        for p in pts {
+            prefix.push(acc);
+            if !is_zero(&p.z) {
+                acc = f.mul(&acc, &p.z);
+            }
+        }
+        let mut out = vec![None; pts.len()];
+        let mut inv = f.inv(&acc);
+        for (i, p) in pts.iter().enumerate().rev() {
+            if is_zero(&p.z) {
+                continue;
+            }
+            let zinv = f.mul(&inv, &prefix[i]);
+            inv = f.mul(&inv, &p.z);
+            let zinv2 = f.sqr(&zinv);
+            out[i] = Some(Aff {
+                x: f.mul(&p.x, &zinv2),
+                y: f.mul(&p.y, &f.mul(&zinv2, &zinv)),
+            });
+        }
+        out
     }
 
     /// Jacobian doubling ("dbl-2007-bl" shape; the `a = -3` fast path folds
     /// the `a·Z⁴` term into a product of sums).
-    fn jac_double(&self, p: &Jacobian) -> Jacobian {
-        let f = &self.field;
-        if p.z.is_zero() || p.y.is_zero() {
-            return Jacobian {
-                x: Ubig::one(),
-                y: Ubig::one(),
-                z: Ubig::zero(),
-            };
+    fn jac_double(&self, p: &Jac) -> Jac {
+        let f = &self.mont.field;
+        if is_zero(&p.z) || is_zero(&p.y) {
+            return INFINITY;
         }
         let xx = f.sqr(&p.x);
         let yy = f.sqr(&p.y);
@@ -317,44 +424,48 @@ impl Curve {
         // M = 3·XX + a·ZZ²
         let m = if self.a_is_minus_3 {
             // 3·(X−ZZ)(X+ZZ)
-            f.mul_u64(&f.mul(&f.sub(&p.x, &zz), &f.add(&p.x, &zz)), 3)
+            let t = f.mul(&f.sub(&p.x, &zz), &f.add(&p.x, &zz));
+            f.add(&f.add(&t, &t), &t)
         } else {
-            f.add(&f.mul_u64(&xx, 3), &f.mul(&self.a, &f.sqr(&zz)))
+            f.add(
+                &f.add(&f.add(&xx, &xx), &xx),
+                &f.mul(&self.mont.a, &f.sqr(&zz)),
+            )
         };
         let x3 = f.sub(&f.sqr(&m), &f.add(&s, &s));
-        let y3 = f.sub(&f.mul(&m, &f.sub(&s, &x3)), &f.mul_u64(&yyyy, 8));
+        let yyyy2 = f.add(&yyyy, &yyyy);
+        let yyyy4 = f.add(&yyyy2, &yyyy2);
+        let y3 = f.sub(&f.mul(&m, &f.sub(&s, &x3)), &f.add(&yyyy4, &yyyy4));
         let z3 = f.sub(&f.sub(&f.sqr(&f.add(&p.y, &p.z)), &yy), &zz);
-        Jacobian {
+        Jac {
             x: x3,
             y: y3,
             z: z3,
         }
     }
 
-    /// Mixed addition: `p` Jacobian + `q` affine (z = 1).
-    fn jac_add_affine(&self, p: &Jacobian, qx: &Ubig, qy: &Ubig) -> Jacobian {
-        let f = &self.field;
-        if p.z.is_zero() {
-            return Jacobian {
-                x: qx.clone(),
-                y: qy.clone(),
-                z: Ubig::one(),
+    /// Mixed addition: `p` Jacobian + `q` affine (`Z = 1`), or `p − q`
+    /// when `negate`.
+    fn jac_add_affine(&self, p: &Jac, q: &Aff, negate: bool) -> Jac {
+        let f = &self.mont.field;
+        let qy = if negate { f.neg(&q.y) } else { q.y };
+        if is_zero(&p.z) {
+            return Jac {
+                x: q.x,
+                y: qy,
+                z: f.one(),
             };
         }
         let zz = f.sqr(&p.z);
-        let u2 = f.mul(qx, &zz);
-        let s2 = f.mul(qy, &f.mul(&zz, &p.z));
+        let u2 = f.mul(&q.x, &zz);
+        let s2 = f.mul(&qy, &f.mul(&zz, &p.z));
         let h = f.sub(&u2, &p.x);
         let r = f.sub(&s2, &p.y);
-        if h.is_zero() {
-            return if r.is_zero() {
+        if is_zero(&h) {
+            return if is_zero(&r) {
                 self.jac_double(p)
             } else {
-                Jacobian {
-                    x: Ubig::one(),
-                    y: Ubig::one(),
-                    z: Ubig::zero(),
-                }
+                INFINITY
             };
         }
         let hh = f.sqr(&h);
@@ -363,11 +474,116 @@ impl Curve {
         let x3 = f.sub(&f.sub(&f.sqr(&r), &hhh), &f.add(&v, &v));
         let y3 = f.sub(&f.mul(&r, &f.sub(&v, &x3)), &f.mul(&p.y, &hhh));
         let z3 = f.mul(&p.z, &h);
-        Jacobian {
+        Jac {
             x: x3,
             y: y3,
             z: z3,
         }
+    }
+
+    /// General Jacobian addition (used only to build tables).
+    fn jac_add(&self, p: &Jac, q: &Jac) -> Jac {
+        let f = &self.mont.field;
+        if is_zero(&p.z) {
+            return *q;
+        }
+        if is_zero(&q.z) {
+            return *p;
+        }
+        let z1z1 = f.sqr(&p.z);
+        let z2z2 = f.sqr(&q.z);
+        let u1 = f.mul(&p.x, &z2z2);
+        let u2 = f.mul(&q.x, &z1z1);
+        let s1 = f.mul(&p.y, &f.mul(&q.z, &z2z2));
+        let s2 = f.mul(&q.y, &f.mul(&p.z, &z1z1));
+        let h = f.sub(&u2, &u1);
+        let r = f.sub(&s2, &s1);
+        if is_zero(&h) {
+            return if is_zero(&r) {
+                self.jac_double(p)
+            } else {
+                INFINITY
+            };
+        }
+        let hh = f.sqr(&h);
+        let hhh = f.mul(&hh, &h);
+        let v = f.mul(&u1, &hh);
+        let x3 = f.sub(&f.sub(&f.sqr(&r), &hhh), &f.add(&v, &v));
+        let y3 = f.sub(&f.mul(&r, &f.sub(&v, &x3)), &f.mul(&s1, &hhh));
+        let z3 = f.mul(&f.mul(&p.z, &q.z), &h);
+        Jac {
+            x: x3,
+            y: y3,
+            z: z3,
+        }
+    }
+
+    /// Appends the width-`w` wNAF table `P, 3P, …, (2^(w−1) − 1)·P` of `p`
+    /// in Jacobian form.
+    fn push_odd_multiples(&self, p: &Jac, w: u32, out: &mut Vec<Jac>) {
+        let two_p = self.jac_double(p);
+        let mut cur = *p;
+        out.push(cur);
+        for _ in 1..1usize << (w - 2) {
+            cur = self.jac_add(&cur, &two_p);
+            out.push(cur);
+        }
+    }
+
+    /// The shared generator tables, built on first use.
+    fn gen_tables(&self) -> &GenTables {
+        self.mont.gen_tables.get_or_init(|| GenTables::new(self))
+    }
+
+    /// Straus' interleaved `Σ kᵢ·Pᵢ` over the scalars as given (no
+    /// reduction): one shared doubling chain, one wNAF digit stream per
+    /// term. Terms on the generator use its cached table when `gen` is
+    /// given; every other term's table is built here, all of them
+    /// normalised together with one inversion.
+    fn straus(&self, terms: &[(&Ubig, &Point)], gen: Option<&GenTables>) -> Point {
+        let mut jac = Vec::new();
+        // (digits, Some(offset into jac) | None for the generator table)
+        let mut streams = Vec::with_capacity(terms.len());
+        for &(k, p) in terms {
+            if k.is_zero() || p.is_infinity() {
+                continue;
+            }
+            if gen.is_some() && p == &self.gen {
+                streams.push((wnaf(k.limbs(), GEN_W), None));
+            } else {
+                streams.push((wnaf(k.limbs(), VAR_W), Some(jac.len())));
+                self.push_odd_multiples(&self.to_jac(p), VAR_W, &mut jac);
+            }
+        }
+        if streams.is_empty() {
+            return Point::Infinity;
+        }
+        let var = self.batch_to_affine(&jac);
+        let streams: Vec<(Vec<i8>, &[Option<Aff>])> = streams
+            .into_iter()
+            .map(|(digits, offset)| {
+                let table = match offset {
+                    Some(at) => &var[at..],
+                    None => &gen.expect("generator streams come with its tables").odd[..],
+                };
+                (digits, table)
+            })
+            .collect();
+        let longest = streams.iter().map(|(d, _)| d.len()).max().unwrap_or(0);
+        let mut acc = INFINITY;
+        for i in (0..longest).rev() {
+            acc = self.jac_double(&acc);
+            for (digits, table) in &streams {
+                let d = digits.get(i).copied().unwrap_or(0);
+                if d == 0 {
+                    continue;
+                }
+                if let Some(q) = &table[(d.unsigned_abs() as usize - 1) / 2] {
+                    acc = self.jac_add_affine(&acc, q, d < 0);
+                }
+            }
+        }
+        self.to_point(&acc)
     }
 
     /// Scalar multiplication `k · p` with a width-4 wNAF window. The scalar
@@ -375,7 +591,7 @@ impl Curve {
     /// in the subgroup); use [`Curve::mul_raw`] for membership checks where
     /// that reduction would be circular.
     pub fn mul(&self, k: &Ubig, p: &Point) -> Point {
-        self.mul_inner(&k.rem_ref(&self.order), p)
+        self.straus(&[(&k.rem_ref(&self.order), p)], None)
     }
 
     /// Scalar multiplication without reducing `k` modulo the subgroup order.
@@ -385,103 +601,30 @@ impl Curve {
     /// point. Used by the constructor's generator check and by signature
     /// verifiers validating attacker-supplied points.
     pub fn mul_raw(&self, k: &Ubig, p: &Point) -> Point {
-        self.mul_inner(k, p)
+        self.straus(&[(k, p)], None)
     }
 
-    fn mul_inner(&self, k: &Ubig, p: &Point) -> Point {
-        if k.is_zero() || p.is_infinity() {
-            return Point::Infinity;
-        }
-        // Precompute odd multiples P, 3P, ..., 15P in affine form (cheap
-        // enough at protocol scale and makes every loop addition "mixed").
-        let (odd, neg_odd) = self.odd_multiples(p);
-        let naf = wnaf(k, 4);
-        let mut acc = Jacobian {
-            x: Ubig::one(),
-            y: Ubig::one(),
-            z: Ubig::zero(),
-        };
-        for &digit in naf.iter().rev() {
-            acc = self.jac_double(&acc);
-            if digit != 0 {
-                let q = if digit > 0 {
-                    &odd[(digit as usize - 1) / 2]
-                } else {
-                    &neg_odd[((-digit) as usize - 1) / 2]
-                };
-                if let Point::Affine { x, y } = q {
-                    acc = self.jac_add_affine(&acc, x, y);
-                }
-            }
-        }
-        self.to_affine(&acc)
-    }
-
-    /// Odd multiples `P, 3P, …, 15P` (and their negations) in affine form —
-    /// the width-4 wNAF window table. Entries can be `∞` on tiny curves.
-    fn odd_multiples(&self, p: &Point) -> (Vec<Point>, Vec<Point>) {
-        let mut odd = Vec::with_capacity(8);
-        odd.push(p.clone());
-        let twop = self.double(p);
-        for i in 1..8 {
-            let next = self.add(&odd[i - 1], &twop);
-            odd.push(next);
-        }
-        let neg_odd: Vec<Point> = odd.iter().map(|q| self.neg(q)).collect();
-        (odd, neg_odd)
-    }
-
-    /// `k1·P + k2·Q` (used by ECDSA verification): interleaved width-4
-    /// wNAF (Straus), both scalars sharing one doubling chain.
+    /// `k1·P + k2·Q` (used by ECDSA verification): interleaved wNAF
+    /// (Straus), both scalars sharing one doubling chain. A generator term
+    /// uses the curve's cached table, so ECDSA verification builds only the
+    /// public key's.
     pub fn mul_mul_add(&self, k1: &Ubig, p: &Point, k2: &Ubig, q: &Point) -> Point {
         self.mul_multi(&[(k1, p), (k2, q)])
     }
 
     /// `Σ kᵢ·Pᵢ` — Straus' interleaved multi-scalar multiplication: one
-    /// shared doubling chain, per-term width-4 wNAF digit streams and
-    /// odd-multiples tables. Scalars are reduced modulo the subgroup
-    /// order. Used by ECDSA verification (`m = 2`) and batch signature
-    /// verification (`m` terms, one chain).
+    /// shared doubling chain, per-term wNAF digit streams and odd-multiples
+    /// tables (the generator's cached, the rest built and normalised with
+    /// one inversion). Scalars are reduced modulo the subgroup order.
     pub fn mul_multi(&self, terms: &[(&Ubig, &Point)]) -> Point {
-        let mut tables = Vec::with_capacity(terms.len());
-        let mut nafs = Vec::with_capacity(terms.len());
-        let mut longest = 0usize;
-        for (k, p) in terms {
-            let k = k.rem_ref(&self.order);
-            if k.is_zero() || p.is_infinity() {
-                continue;
-            }
-            let naf = wnaf(&k, 4);
-            longest = longest.max(naf.len());
-            tables.push(self.odd_multiples(p));
-            nafs.push(naf);
-        }
-        if nafs.is_empty() {
-            return Point::Infinity;
-        }
-        let mut acc = Jacobian {
-            x: Ubig::one(),
-            y: Ubig::one(),
-            z: Ubig::zero(),
-        };
-        for i in (0..longest).rev() {
-            acc = self.jac_double(&acc);
-            for (naf, (odd, neg_odd)) in nafs.iter().zip(&tables) {
-                let digit = naf.get(i).copied().unwrap_or(0);
-                if digit == 0 {
-                    continue;
-                }
-                let q = if digit > 0 {
-                    &odd[(digit as usize - 1) / 2]
-                } else {
-                    &neg_odd[((-digit) as usize - 1) / 2]
-                };
-                if let Point::Affine { x, y } = q {
-                    acc = self.jac_add_affine(&acc, x, y);
-                }
-            }
-        }
-        self.to_affine(&acc)
+        let reduced: Vec<Ubig> = terms.iter().map(|(k, _)| k.rem_ref(&self.order)).collect();
+        let terms: Vec<(&Ubig, &Point)> =
+            reduced.iter().zip(terms).map(|(k, t)| (k, t.1)).collect();
+        let gen = terms
+            .iter()
+            .any(|(_, p)| *p == &self.gen)
+            .then(|| self.gen_tables());
+        self.straus(&terms, gen)
     }
 
     /// `k · G` for the distinguished generator, via a lazily built (and
@@ -492,8 +635,7 @@ impl Curve {
         if k.is_zero() || self.gen.is_infinity() {
             return Point::Infinity;
         }
-        let comb = self.gen_comb.get_or_init(|| GenComb::new(self));
-        comb.eval(self, &k)
+        self.to_point(&self.gen_tables().eval(self, k.limbs()))
     }
 
     /// Uniformly random scalar in `[1, order)`.
@@ -542,28 +684,53 @@ impl Curve {
     }
 }
 
-/// Computes the width-`w` non-adjacent form of `k`, least-significant digit
-/// first. Digits are odd in `(-2^(w-1), 2^(w-1))` or zero.
-fn wnaf(k: &Ubig, w: u32) -> Vec<i8> {
-    let mut k = k.clone();
-    let mut out = Vec::with_capacity(k.bit_length() as usize + 1);
-    let window = 1u64 << w;
-    let half = 1i64 << (w - 1);
-    while !k.is_zero() {
-        if k.is_odd() {
-            let m = (k.low_u64() % window) as i64;
-            let digit = if m >= half { m - window as i64 } else { m };
-            out.push(digit as i8);
-            if digit > 0 {
-                k = k.checked_sub(&Ubig::from_u64(digit as u64)).unwrap();
-            } else {
-                k = k.add_ref(&Ubig::from_u64((-digit) as u64));
-            }
+/// Bit `i` of little-endian limbs (`false` past the end).
+fn bit(k: &[u64], i: u32) -> bool {
+    k.get(i as usize / 64)
+        .is_some_and(|l| (l >> (i % 64)) & 1 == 1)
+}
+
+/// Computes the width-`w` non-adjacent form of the integer held in `k`
+/// (little-endian limbs), least-significant digit first. Digits are odd in
+/// `(-2^(w-1), 2^(w-1))` or zero. The scalar is read in `w`-bit windows with
+/// a carry, never modified or copied.
+fn wnaf(k: &[u64], w: u32) -> Vec<i8> {
+    let bits = k
+        .iter()
+        .rposition(|&l| l != 0)
+        .map_or(0, |top| 64 * top + 64 - k[top].leading_zeros() as usize);
+    let width = 1u64 << w;
+    let window_at = |pos: usize| {
+        let (limb, shift) = (pos / 64, pos % 64);
+        let lo = k.get(limb).map_or(0, |l| l >> shift);
+        let hi = if shift + w as usize > 64 {
+            k.get(limb + 1).map_or(0, |l| l << (64 - shift))
         } else {
-            out.push(0);
+            0
+        };
+        (lo | hi) & (width - 1)
+    };
+    // A final carry can land up to w positions past the top bit.
+    let mut out = vec![0i8; bits + w as usize];
+    let mut carry = 0u64;
+    let mut pos = 0usize;
+    while pos < out.len() {
+        let window = carry + window_at(pos);
+        if window & 1 == 0 {
+            pos += 1;
+            continue;
         }
-        k = k.shr_bits(1);
+        if window < width / 2 {
+            carry = 0;
+            out[pos] = window as i8;
+        } else {
+            carry = 1;
+            out[pos] = (window as i64 - width as i64) as i8;
+        }
+        pos += w as usize;
     }
+    let len = out.iter().rposition(|&d| d != 0).map_or(0, |i| i + 1);
+    out.truncate(len);
     out
 }
 
@@ -700,9 +867,22 @@ mod tests {
     }
 
     #[test]
+    fn named_curve_clones_share_one_comb() {
+        let a = crate::curves::secp160r1();
+        let b = crate::curves::secp160r1();
+        assert!(Arc::ptr_eq(&a.mont, &b.mont));
+        let k = Ubig::from_u64(0x5eed);
+        assert_eq!(a.mul_gen(&k), b.mul_gen(&k));
+        // Built once, by whichever clone asked first.
+        assert!(b.mont.gen_tables.get().is_some());
+        let other = crate::curves::secp192r1();
+        assert!(!Arc::ptr_eq(&a.mont, &other.mont));
+    }
+
+    #[test]
     fn wnaf_reconstructs_value() {
         for v in [1u64, 2, 3, 7, 15, 16, 255, 1000, 0xdead_beef] {
-            let naf = wnaf(&Ubig::from_u64(v), 4);
+            let naf = wnaf(Ubig::from_u64(v).limbs(), 4);
             let mut acc: i128 = 0;
             for (i, &d) in naf.iter().enumerate() {
                 acc += (d as i128) << i;
@@ -713,6 +893,39 @@ mod tests {
                 assert!(w[0] == 0 || w[1] == 0, "adjacent digits in {naf:?}");
             }
         }
+    }
+
+    #[test]
+    fn wnaf_reconstructs_multi_limb_values_at_every_width() {
+        let values = [
+            Ubig::from_hex("ffffffffffffffffffffffffffffffffffffffff").unwrap(),
+            Ubig::from_hex("8000000000000000ffffffffffffffff7fffffff").unwrap(),
+            Ubig::from_hex("0100000000000000000001f4c8f927aed3ca752257").unwrap(),
+            Ubig::one().shl_bits(255),
+            Ubig::one().shl_bits(256).checked_sub(&Ubig::one()).unwrap(),
+        ];
+        for v in &values {
+            for w in [2u32, 4, 5, 7] {
+                let naf = wnaf(v.limbs(), w);
+                let (mut pos, mut neg) = (Ubig::zero(), Ubig::zero());
+                for (i, &d) in naf.iter().enumerate() {
+                    assert!(d == 0 || (d % 2 != 0 && (d.unsigned_abs() as u32) < 1 << (w - 1)));
+                    let term = Ubig::from_u64(d.unsigned_abs() as u64).shl_bits(i as u32);
+                    if d > 0 {
+                        pos = pos.add_ref(&term);
+                    } else if d < 0 {
+                        neg = neg.add_ref(&term);
+                    }
+                }
+                assert_eq!(pos.checked_sub(&neg).as_ref(), Some(v), "w = {w}");
+                assert!(naf.len() as u32 <= v.bit_length() + 1, "w = {w}");
+                // Any w consecutive digits hold at most one non-zero.
+                for win in naf.windows(w as usize) {
+                    assert!(win.iter().filter(|&&d| d != 0).count() <= 1);
+                }
+            }
+        }
+        assert!(wnaf(&[], 4).is_empty());
     }
 
     #[test]

@@ -1,9 +1,18 @@
 //! Prime-field arithmetic contexts.
 //!
-//! A [`Fp`] bundles an odd prime modulus with its Montgomery context from
-//! `egka-bigint`; field elements are plain [`Ubig`] values reduced into
-//! `[0, p)`. Keeping elements context-free (no `Arc` per element) makes the
-//! point types in [`crate::curve`] plain data and keeps clones cheap.
+//! Two representations of `F_p` live here:
+//!
+//! * [`Fp`] (and the extension [`Fp2`]) — the public one. It bundles an odd
+//!   prime modulus with its Montgomery context from `egka-bigint`; elements
+//!   are plain [`Ubig`] values reduced into `[0, p)`. The pairing, point
+//!   compression and the affine group law run on it, and every public
+//!   point coordinate is a `Ubig`.
+//! * `MontField` (crate-private) — fixed-width Montgomery arithmetic for
+//!   moduli below `2^256`: elements are `[u64; 4]` arrays holding `a·R mod
+//!   p` with `R = 2^(64·k)` for the modulus's `k` limbs, and no operation
+//!   allocates. The scalar-multiplication internals of [`crate::curve`]
+//!   run on it and convert to and from `Ubig` only at the `Point`
+//!   boundary.
 
 use egka_bigint::{mod_inverse, Montgomery, Ubig};
 use rand::Rng;
@@ -317,6 +326,249 @@ impl Fp2 {
     }
 }
 
+/// Limbs of a [`MontField`] element: little-endian, the top `4 − k` zero.
+pub(crate) type Limbs = [u64; MAX_LIMBS];
+
+/// Widest modulus [`MontField`] takes, in 64-bit limbs.
+pub(crate) const MAX_LIMBS: usize = 4;
+
+/// Fixed-width Montgomery arithmetic modulo an odd prime `p < 2^256`.
+///
+/// Elements are [`Limbs`] in Montgomery form (`a·R mod p`, `R = 2^(64·k)`),
+/// always fully reduced, so equal values have equal limbs. Multiplication
+/// is CIOS, monomorphised per limb count `k ∈ 1..=4`; inversion is Fermat's
+/// `a^(p−2)` with a fixed 4-bit window. Nothing here allocates.
+#[derive(Debug)]
+pub(crate) struct MontField {
+    /// Limbs of the modulus actually used (`1..=4`).
+    k: usize,
+    p: Limbs,
+    /// `−p⁻¹ mod 2^64`.
+    n0: u64,
+    /// `R² mod p` (converts into Montgomery form).
+    r2: Limbs,
+    /// `R mod p`, the Montgomery form of 1.
+    one: Limbs,
+    /// `p − 2`, the Fermat inversion exponent.
+    p_minus_2: Limbs,
+}
+
+impl MontField {
+    /// Builds the context for an odd prime `p` of at most 256 bits.
+    pub(crate) fn new(p: &Ubig) -> Self {
+        assert!(
+            p.bit_length() <= 64 * MAX_LIMBS as u32,
+            "fixed-width field needs p < 2^256"
+        );
+        assert!(
+            p.is_odd() && p.bit_length() > 1,
+            "modulus must be an odd prime"
+        );
+        let k = p.limbs().len();
+        // Newton's iteration doubles the correct low bits of p⁻¹ mod 2^64.
+        let p0 = p.limbs()[0];
+        let mut inv = 1u64;
+        for _ in 0..6 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(p0.wrapping_mul(inv)));
+        }
+        let r = Ubig::one().shl_bits(64 * k as u32);
+        MontField {
+            k,
+            p: to_limbs(p),
+            n0: inv.wrapping_neg(),
+            r2: to_limbs(&r.mul_ref(&r).rem_ref(p)),
+            one: to_limbs(&r.rem_ref(p)),
+            p_minus_2: to_limbs(&p.checked_sub(&Ubig::from_u64(2)).expect("p ≥ 3")),
+        }
+    }
+
+    /// The Montgomery form of 1.
+    pub(crate) fn one(&self) -> Limbs {
+        self.one
+    }
+
+    /// Converts into Montgomery form (reducing first if `a ≥ p`).
+    pub(crate) fn to_mont(&self, a: &Ubig) -> Limbs {
+        let reduced = a.bit_length() <= 64 * MAX_LIMBS as u32 && lt(&to_limbs(a), &self.p);
+        let plain = if reduced {
+            to_limbs(a)
+        } else {
+            to_limbs(&a.rem_ref(&Ubig::from_limbs(self.p.to_vec())))
+        };
+        self.mul(&plain, &self.r2)
+    }
+
+    /// Converts out of Montgomery form.
+    pub(crate) fn to_ubig(&self, a: &Limbs) -> Ubig {
+        let mut unit = [0u64; MAX_LIMBS];
+        unit[0] = 1;
+        Ubig::from_limbs(self.mul(a, &unit).to_vec())
+    }
+
+    /// `a + b mod p`.
+    #[inline]
+    pub(crate) fn add(&self, a: &Limbs, b: &Limbs) -> Limbs {
+        let mut s = *a;
+        if add_limbs(&mut s, b) || !lt(&s, &self.p) {
+            sub_limbs(&mut s, &self.p);
+        }
+        s
+    }
+
+    /// `a − b mod p`.
+    #[inline]
+    pub(crate) fn sub(&self, a: &Limbs, b: &Limbs) -> Limbs {
+        let mut d = *a;
+        if sub_limbs(&mut d, b) {
+            add_limbs(&mut d, &self.p);
+        }
+        d
+    }
+
+    /// `−a mod p`.
+    #[inline]
+    pub(crate) fn neg(&self, a: &Limbs) -> Limbs {
+        if is_zero(a) {
+            *a
+        } else {
+            let mut d = self.p;
+            sub_limbs(&mut d, a);
+            d
+        }
+    }
+
+    /// `a · b · R⁻¹ mod p` — the Montgomery product.
+    #[inline]
+    pub(crate) fn mul(&self, a: &Limbs, b: &Limbs) -> Limbs {
+        match self.k {
+            1 => mont_mul::<1>(a, b, &self.p, self.n0),
+            2 => mont_mul::<2>(a, b, &self.p, self.n0),
+            3 => mont_mul::<3>(a, b, &self.p, self.n0),
+            _ => mont_mul::<4>(a, b, &self.p, self.n0),
+        }
+    }
+
+    /// `a²` in Montgomery form.
+    #[inline]
+    pub(crate) fn sqr(&self, a: &Limbs) -> Limbs {
+        self.mul(a, a)
+    }
+
+    /// `a⁻¹` in Montgomery form (`0` maps to `0`; callers never invert it).
+    pub(crate) fn inv(&self, a: &Limbs) -> Limbs {
+        // powers[i] = a^i for the 4-bit window.
+        let mut powers = [self.one; 16];
+        for i in 1..16 {
+            powers[i] = self.mul(&powers[i - 1], a);
+        }
+        let nibble = |i: usize| (self.p_minus_2[i / 16] >> (4 * (i % 16))) as usize & 0xf;
+        let top = (0..MAX_LIMBS * 16)
+            .rev()
+            .find(|&i| nibble(i) != 0)
+            .unwrap_or(0);
+        let mut acc = powers[nibble(top)];
+        for i in (0..top).rev() {
+            acc = self.sqr(&self.sqr(&acc));
+            acc = self.sqr(&self.sqr(&acc));
+            if nibble(i) != 0 {
+                acc = self.mul(&acc, &powers[nibble(i)]);
+            }
+        }
+        acc
+    }
+}
+
+/// True iff every limb is zero.
+#[inline]
+pub(crate) fn is_zero(a: &Limbs) -> bool {
+    a.iter().all(|&l| l == 0)
+}
+
+/// `a < b` as 256-bit integers.
+#[inline]
+fn lt(a: &Limbs, b: &Limbs) -> bool {
+    for i in (0..MAX_LIMBS).rev() {
+        if a[i] != b[i] {
+            return a[i] < b[i];
+        }
+    }
+    false
+}
+
+/// `a ← a − b` (wrapping); returns the borrow out.
+#[inline]
+fn sub_limbs(a: &mut Limbs, b: &Limbs) -> bool {
+    let mut borrow = false;
+    for i in 0..MAX_LIMBS {
+        let (t, b1) = a[i].overflowing_sub(b[i]);
+        let (t, b2) = t.overflowing_sub(borrow as u64);
+        a[i] = t;
+        borrow = b1 | b2;
+    }
+    borrow
+}
+
+/// `a ← a + b` (wrapping); returns the carry out.
+#[inline]
+fn add_limbs(a: &mut Limbs, b: &Limbs) -> bool {
+    let mut carry = false;
+    for i in 0..MAX_LIMBS {
+        let (t, c1) = a[i].overflowing_add(b[i]);
+        let (t, c2) = t.overflowing_add(carry as u64);
+        a[i] = t;
+        carry = c1 | c2;
+    }
+    carry
+}
+
+/// The low 256 bits of `a` as limbs.
+fn to_limbs(a: &Ubig) -> Limbs {
+    let mut out = [0u64; MAX_LIMBS];
+    for (o, l) in out.iter_mut().zip(a.limbs()) {
+        *o = *l;
+    }
+    out
+}
+
+/// CIOS Montgomery multiplication over the low `K` limbs: for `a, b < p`
+/// returns `a·b·2^(−64K) mod p`, fully reduced.
+#[inline(always)]
+fn mont_mul<const K: usize>(a: &Limbs, b: &Limbs, p: &Limbs, n0: u64) -> Limbs {
+    // t holds K + 2 limbs (K ≤ 4).
+    let mut t = [0u64; MAX_LIMBS + 2];
+    for &bi in &b[..K] {
+        let mut c = 0u64;
+        for j in 0..K {
+            let s = t[j] as u128 + (a[j] as u128) * (bi as u128) + c as u128;
+            t[j] = s as u64;
+            c = (s >> 64) as u64;
+        }
+        let s = t[K] as u128 + c as u128;
+        t[K] = s as u64;
+        t[K + 1] = (s >> 64) as u64;
+        let m = t[0].wrapping_mul(n0);
+        let s = t[0] as u128 + (m as u128) * (p[0] as u128);
+        let mut c = (s >> 64) as u64;
+        for j in 1..K {
+            let s = t[j] as u128 + (m as u128) * (p[j] as u128) + c as u128;
+            t[j - 1] = s as u64;
+            c = (s >> 64) as u64;
+        }
+        let s = t[K] as u128 + c as u128;
+        t[K - 1] = s as u64;
+        t[K] = t[K + 1] + (s >> 64) as u64;
+    }
+    // t < 2p: one conditional subtraction reduces it.
+    let mut out = [0u64; MAX_LIMBS];
+    out[..K].copy_from_slice(&t[..K]);
+    if t[K] != 0 || !lt(&out, p) {
+        sub_limbs(&mut out, p);
+        // The borrow ran into the unused top limbs; the difference is < p.
+        out[K..].fill(0);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,6 +697,58 @@ mod tests {
         };
         let order = Ubig::from_u64(23 * 23 - 1);
         assert!(f2.pow(&a, &order).is_one());
+    }
+
+    #[test]
+    fn mont_field_matches_fp() {
+        // One to four limbs, including moduli whose top limb is all ones
+        // (where a + b carries out of the last limb).
+        let moduli = [
+            "13",
+            "ffffffffffffffc5",
+            "7fffffffffffffffffffffffffffffff",
+            "ffffffffffffffffffffffffffffffff7fffffff",
+            "24056cb57801921f30c2993adcde17bb3d0b97964065e4a37",
+            "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f",
+        ];
+        let mut rng = ChaChaRng::seed_from_u64(0x11b5);
+        for hex in moduli {
+            let f = Fp::new(Ubig::from_hex(hex).unwrap());
+            let m = MontField::new(f.modulus());
+            let p_minus_1 = f.modulus().checked_sub(&Ubig::one()).unwrap();
+            let mut values = vec![Ubig::zero(), Ubig::one(), p_minus_1];
+            values.extend((0..12).map(|_| f.random(&mut rng)));
+            for a in &values {
+                let am = m.to_mont(a);
+                assert_eq!(&m.to_ubig(&am), a, "{hex}: round trip");
+                assert_eq!(m.to_ubig(&m.neg(&am)), f.neg(a), "{hex}: neg");
+                if !a.is_zero() {
+                    assert_eq!(m.to_ubig(&m.inv(&am)), f.inv(a).unwrap(), "{hex}: inv");
+                }
+                for b in &values {
+                    let bm = m.to_mont(b);
+                    assert_eq!(m.to_ubig(&m.add(&am, &bm)), f.add(a, b), "{hex}: add");
+                    assert_eq!(m.to_ubig(&m.sub(&am, &bm)), f.sub(a, b), "{hex}: sub");
+                    assert_eq!(m.to_ubig(&m.mul(&am, &bm)), f.mul(a, b), "{hex}: mul");
+                }
+            }
+            // Unreduced inputs are reduced on the way in.
+            let wide = f
+                .modulus()
+                .mul_ref(&Ubig::from_u64(3))
+                .add_ref(&Ubig::from_u64(5));
+            assert_eq!(
+                m.to_ubig(&m.to_mont(&wide)),
+                f.reduce(&wide),
+                "{hex}: reduce"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "p < 2^256")]
+    fn mont_field_rejects_wide_moduli() {
+        MontField::new(&Ubig::one().shl_bits(256).add_ref(&Ubig::from_u64(297)));
     }
 
     #[test]

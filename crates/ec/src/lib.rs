@@ -15,10 +15,12 @@
 //!
 //! * [`field`] — prime fields `F_p` (Montgomery-backed) and the quadratic
 //!   extension `F_p²` with `i² = −1`;
-//! * [`curve`] — short-Weierstrass curves, Jacobian arithmetic, wNAF scalar
-//!   multiplication, SEC1 point compression;
+//! * [`curve`] — short-Weierstrass curves, SEC1 point compression, and
+//!   scalar multiplication (Jacobian wNAF/Straus and a generator comb) on
+//!   fixed-width Montgomery limbs;
 //! * [`curves`] — secp160r1 (the paper's 160-bit ECDSA curve), secp192r1,
-//!   secp256k1 and a toy curve for exhaustive tests;
+//!   secp256k1 and a toy curve for exhaustive tests, each built once per
+//!   process;
 //! * [`pairing`] — the modified Tate pairing on a supersingular curve
 //!   `y² = x³ + x` with embedding degree 2 (BKLS denominator elimination),
 //!   plus MapToPoint hashing and pairing-group parameter generation.

@@ -100,9 +100,9 @@ impl Ecdsa {
         let h = self.hash_msg(msg);
         let u1 = mod_mul(&h, &w, n);
         let u2 = mod_mul(&sig.r, &w, n);
-        // One fused double-scalar multiplication: u1·G + u2·Q.
-        let g = self.curve.generator().clone();
-        let pt = self.curve.mul_mul_add(&u1, &g, &u2, q);
+        // One fused double-scalar multiplication: u1·G + u2·Q (G's table
+        // is the curve's cached one).
+        let pt = self.curve.mul_mul_add(&u1, self.curve.generator(), &u2, q);
         match pt.xy() {
             None => false,
             Some((x, _)) => x.rem_ref(n) == sig.r,

@@ -10,9 +10,9 @@
 //! * [`ecdsa`] — ECDSA over secp160r1 (and any other `egka-ec` curve);
 //! * [`sok`] — the Sakai–Ohgishi–Kasahara pairing-based ID-based signature
 //!   (2 scalar-mul sign, 3-pairing verify, MapToPoint per identity/message);
-//! * [`batch`] — seeded random-linear-combination **epoch batch
-//!   verification** for ECDSA and split-form GQ (plus an amortized DSA
-//!   batch loop), with lowest-failing-index attribution;
+//! * [`batch`] — **epoch batch verification**: a seeded
+//!   random-linear-combination check for split-form GQ, and per-item
+//!   loops for DSA and ECDSA, all with lowest-failing-index attribution;
 //! * [`certs`] — an X.509-like certificate format, DSA/ECDSA certifying
 //!   authorities, and the [`certs::CertStore`] verified-certificate cache
 //!   that reproduces the paper's "returning members don't re-verify
